@@ -36,13 +36,13 @@ from .core import (
     dv_scale,
     encode_hypergraph,
     kset,
-    subsets_of_size,
     vec_add,
     vec_scale,
     weight,
     zero_vec,
 )
 from .intlin import IntMatrix, rank_full, z_solve_system
+from .zsolve import layer_weights
 
 
 class CalculusError(Exception):
@@ -467,21 +467,6 @@ def construct_simple(g: Hypergraph, x):
 FamilyTerms = list[tuple[int, int, dict[Atom, Atom]]]
 
 
-def _family_weight_columns(family: Sequence[DataVector], size: int):
-    """Deduplicated (weight vector, generator index, subset) representatives
-    over all size-`size` support subsets of the family members."""
-    seen: dict[IntVector, tuple[int, KSet]] = {}
-    order: list[IntVector] = []
-    for gi, gen in enumerate(family):
-        h = encode_hypergraph(gen)
-        for xs in subsets_of_size(h.vertices, size):
-            w = weight(h, xs)
-            if any(w) and w not in seen:
-                seen[w] = (gi, xs)
-                order.append(w)
-    return order, seen
-
-
 def _simple_with_value(
     family: Sequence[DataVector],
     m: int,
@@ -496,18 +481,17 @@ def _simple_with_value(
     """(m,a)-simple k-hypergraph at the given placement, built as an integer
     combination of canonical simple graphs of the family members, together
     with family witness terms."""
-    cols, reps = _family_weight_columns(family, m)
-    sol = z_solve_system(IntMatrix.from_columns(cols, nrows=dim), a)
+    reps = layer_weights([encode_hypergraph(g) for g in family], m)
+    sol = z_solve_system(IntMatrix.from_columns(list(reps), nrows=dim), a)
     if sol is None:
         raise SpanError(
             f"value {a} outside the integer span of size-{m} family weights"
         )
     total = DataVector(arity, dim, {})
     fam_terms: FamilyTerms = []
-    for w, coeff in zip(cols, sol):
+    for (gi, xs), coeff in zip(reps.values(), sol):
         if not coeff:
             continue
-        gi, xs = reps[w]
         key = (family[gi], xs)
         if key not in ctx.simple_cache:
             ctx.simple_cache[key] = _construct_simple(

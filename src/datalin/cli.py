@@ -8,19 +8,19 @@ must be decimal strings, and emitted values are always decimal strings so
 the format is lossless.
 
 Exit codes: 0 solvable/verified, 1 not solvable/not verified, 2 usage or
-parse error, 3 inconclusive (a resource cap truncated the search).
+parse error, 3 inconclusive (a resource cap truncated the search), 4
+internal error (a construction failed its own consistency check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import Any, Optional
 
-from .calculus import CapExceeded
+from .calculus import CalculusError, CapExceeded
 from .core import (
     Atom,
     DataVector,
@@ -36,7 +36,6 @@ from .witness import (
     Witness,
     WitnessTerm,
     extract_witness_general,
-    extract_witness_k2,
     verify_witness,
 )
 from .zsolve import local_check, z_solvable
@@ -255,11 +254,7 @@ def cmd_zsolve(args) -> int:
 
 def _try_extract_json(inst: Instance, table: AtomTable) -> Optional[dict]:
     try:
-        w = (
-            extract_witness_k2(inst)
-            if inst.arity == 2
-            else extract_witness_general(inst)
-        )
+        w = extract_witness_general(inst)
     except CapExceeded:
         return None
     return emit_witness(w, table) if w is not None else None
@@ -322,10 +317,7 @@ def cmd_witness(args) -> int:
     table = AtomTable()
     inst = parse_instance(_load(args.path), table)
     try:
-        if inst.arity == 2 and not args.general:
-            w = extract_witness_k2(inst)
-        else:
-            w = extract_witness_general(inst)
+        w = extract_witness_general(inst)
     except CapExceeded:
         _report(args, "INCONCLUSIVE", {"command": "witness", "status": "cap"})
         return 3
@@ -457,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = with_common(sub.add_parser("check-local"))
     cp.add_argument("--explain", action="store_true")
     cp.set_defaults(func=cmd_check_local)
-    wp = with_common(sub.add_parser("witness"))
-    wp.add_argument("--general", action="store_true")
-    wp.set_defaults(func=cmd_witness)
+    with_common(sub.add_parser("witness")).set_defaults(func=cmd_witness)
     vp = with_common(sub.add_parser("verify"))
     vp.add_argument("witness_path", help="witness JSON file")
     vp.add_argument("--mode", choices=["Z", "N"], default="Z")
@@ -481,12 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("DATALIN_THREADS", "0")
-    try:
-        int(threads)
-    except ValueError:
-        print("DATALIN_THREADS must be an integer", file=sys.stderr)
-        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -497,6 +481,9 @@ def main(argv=None) -> int:
     except (FormatError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CalculusError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 # Atoms are canonical nonnegative integers.  Input files may use arbitrary
 # strings; the cli module interns them to integers at parse time.

@@ -9,7 +9,6 @@ point anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -57,12 +56,6 @@ class IntMatrix:
         )
 
 
-@dataclass(frozen=True)
-class NormReport:
-    inf_norm: int
-    one_inf_norm: int
-
-
 def inf_norm(v: Iterable[int]) -> int:
     return max((abs(x) for x in v), default=0)
 
@@ -74,10 +67,6 @@ def one_norm(v: Iterable[int]) -> int:
 def matrix_one_inf_norm(m: IntMatrix) -> int:
     """Max over columns of the column 1-norm."""
     return max((one_norm(m.column(j)) for j in range(m.cols)), default=0)
-
-
-def norm_report(v: Sequence[int]) -> NormReport:
-    return NormReport(inf_norm=inf_norm(v), one_inf_norm=one_norm(v))
 
 
 def z_solve_system(m: IntMatrix, y: Sequence[int]) -> Optional[tuple[int, ...]]:

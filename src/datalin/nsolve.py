@@ -43,7 +43,6 @@ class NBoundData:
     coeff_bound: int
     s_max: int
     support_size: int
-    support_atoms: tuple[Atom, ...]  # empty when above the realization cap
 
 
 @dataclass(frozen=True)
@@ -92,15 +91,13 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
 
 
 def nonreversible_bound(
-    inst: Instance,
-    part: ReversibilityPartition,
-    atom_cap: int = 10_000,
+    inst: Instance, part: ReversibilityPartition
 ) -> NBoundData:
     """Exact multiplicity bound for the nonreversible part and the derived
-    support-size bound; realizes the extended atom pool when small enough."""
-    supp = sorted(inst.target.support())
+    support-size bound."""
+    supp_size = len(inst.target.support())
     if not part.nonreversible:
-        return NBoundData(0, 0, len(supp), tuple(supp))
+        return NBoundData(0, 0, supp_size)
     projections = [data_projection(g) for g in inst.generators]
     distinct_nonrev = {projections[i] for i in part.nonreversible}
     col_norm = max((one_norm(p) for p in projections), default=0)
@@ -111,12 +108,7 @@ def nonreversible_bound(
     s_max = max(
         len(inst.generators[i].support()) for i in part.nonreversible
     )
-    support_size = len(supp) + s_max * coeff_bound
-    atoms: tuple[Atom, ...] = ()
-    if support_size <= atom_cap:
-        fresh = FreshAtoms(inst.all_atoms())
-        atoms = tuple(supp) + tuple(fresh.take_many(support_size - len(supp)))
-    return NBoundData(coeff_bound, s_max, support_size, atoms)
+    return NBoundData(coeff_bound, s_max, supp_size + s_max * coeff_bound)
 
 
 def _copy_placements(sup, known_pool, next_fresh, fresh_budget):

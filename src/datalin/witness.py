@@ -1,27 +1,19 @@
 """Constructive integer-combination witnesses.
 
 A witness is a formal sum of renamed generator copies; verification
-evaluates the sum and compares it with the target exactly.  Two extractors
-produce witnesses for Z-solvable instances: a dedicated arity-2 extractor
-that matches the total weight, then the vertex weights, then eliminates
-edges one by one in a well-founded order, and a general-arity extractor
-that decomposes the target through simple hypergraphs of the generator
-family.
+evaluates the sum and compares it with the target exactly.  One extractor
+produces witnesses for Z-solvable instances of every arity: it decomposes
+the target through simple hypergraphs of the generator family.
+`extract_witness_k2` is the same extractor, restricted to arity 2.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from .calculus import (
-    CalculusError,
-    CapExceeded,
-    _compose,
-    _family_weight_columns,
-    express_via_simple,
-)
+from .calculus import CalculusError, express_via_simple
 from .core import (
     Atom,
     DataVector,
@@ -30,13 +22,7 @@ from .core import (
     dv_add,
     dv_permute,
     dv_scale,
-    encode_hypergraph,
-    kset,
-    weight,
-    zero_vec,
-    vec_add,
 )
-from .intlin import IntMatrix, z_solve_system
 from .zsolve import local_check
 
 
@@ -93,7 +79,7 @@ def verify_witness(inst: Instance, w: Witness, mode: str = "Z") -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# extractor
 
 
 def _single_copy_witness(inst: Instance, max_support: int = 8) -> Optional[Witness]:
@@ -110,141 +96,6 @@ def _single_copy_witness(inst: Instance, max_support: int = 8) -> Optional[Witne
             if dv_permute(gen, ren) == inst.target:
                 return make_witness([(1, gi, ren)])
     return None
-
-
-def _solve_layer(
-    family: Sequence[DataVector], size: int, value, dim: int
-) -> Optional[list[tuple[int, int, tuple]]]:
-    """Express `value` as an integer combination of the size-`size` weights
-    of the family; returns [(coefficient, generator index, subset)]."""
-    cols, reps = _family_weight_columns(family, size)
-    sol = z_solve_system(IntMatrix.from_columns(cols, nrows=dim), value)
-    if sol is None:
-        return None
-    return [
-        (c, *reps[w]) for w, c in zip(cols, sol) if c
-    ]
-
-
-# ---------------------------------------------------------------------------
-# arity-2 extractor
-
-
-def _vertex_weights(v: DataVector) -> dict[Atom, tuple]:
-    h = encode_hypergraph(v)
-    return {
-        b: w
-        for b in sorted(h.nonisolated())
-        if any(w := weight(h, (b,)))
-    }
-
-
-def extract_witness_k2(inst: Instance) -> Optional[Witness]:
-    """Constructive witness for arity-2 instances.
-
-    Phase A matches the total weight with fully fresh generator copies.
-    Phase B cancels every vertex weight against one shared sink vertex.
-    Phase C removes edges largest-first (in an order putting three dedicated
-    low vertices below all others) with four-copy cycle gadgets whose side
-    edges are strictly smaller, so the residual reaches exactly zero.
-    Returns None exactly when the subset-weight membership check fails.
-    """
-    if inst.arity != 2:
-        raise ValueError("extract_witness_k2 requires arity 2")
-    if not local_check(inst).decision:
-        return None
-    quick = _single_copy_witness(inst)
-    if quick is not None:
-        return quick
-
-    gens = inst.generators
-    d = inst.dim
-    fresh = FreshAtoms(inst.all_atoms())
-    raw: list[tuple[int, int, dict[Atom, Atom]]] = []
-
-    def fresh_copy(gi: int, fixed: Mapping[Atom, Atom]) -> dict[Atom, Atom]:
-        ren = dict(fixed)
-        for u in sorted(gens[gi].support()):
-            if u not in ren:
-                ren[u] = fresh.take()
-        return ren
-
-    def residual() -> DataVector:
-        acc = inst.target
-        for c, gi, ren in raw:
-            acc = dv_add(acc, dv_scale(-c, dv_permute(gens[gi], ren)))
-        return acc
-
-    # Phase A: total weight
-    total = zero_vec(d)
-    for val in inst.target.entries.values():
-        total = vec_add(total, val)
-    if any(total):
-        combo = _solve_layer(gens, 0, total, d)
-        if combo is None:
-            raise CalculusError("total weight escaped the generator span")
-        for c, gi, _xs in combo:
-            raw.append((c, gi, fresh_copy(gi, {})))
-
-    # Phase B: vertex weights, all drained into one shared sink
-    r = residual()
-    sink = fresh.take()
-    for beta, wb in _vertex_weights(r).items():
-        combo = _solve_layer(gens, 1, wb, d)
-        if combo is None:
-            raise CalculusError("vertex weight escaped the generator span")
-        for c, gi, (u,) in combo:
-            hi = fresh_copy(gi, {u: beta})
-            lo = dict(hi)
-            lo[u] = sink
-            raw.append((c, gi, hi))
-            raw.append((-c, gi, lo))
-
-    # Phase C: edge elimination, largest edge first
-    low = fresh.take_many(3)  # ordered below every other atom
-    low_rank = {a: i for i, a in enumerate(low)}
-
-    def atom_key(a: Atom):
-        return (0, low_rank[a]) if a in low_rank else (1, a)
-
-    def edge_key(e) -> tuple:
-        return tuple(sorted((atom_key(a) for a in e), reverse=True))
-
-    r = residual()
-    guard = 0
-    while r.entries:
-        guard += 1
-        if guard > 100_000:
-            raise CalculusError("edge elimination failed to terminate")
-        edge = max(r.entries, key=edge_key)
-        x, y = sorted(edge, key=atom_key)
-        if x == low[0] or (x in low_rank and y in low_rank):
-            raise CalculusError(
-                "edge elimination reached a state excluded by the invariants"
-            )
-        q = low[0]
-        s = low[2] if x == low[1] else low[1]
-        a = r.entries[edge]
-        combo = _solve_layer(gens, 2, a, d)
-        if combo is None:
-            raise CalculusError("edge weight escaped the generator span")
-        for c, gi, (u1, u2) in combo:
-            base = fresh_copy(gi, {u1: x, u2: y})
-            for c2, at1, at2 in ((c, x, y), (-c, q, y), (-c, x, s), (c, q, s)):
-                ren = dict(base)
-                ren[u1] = at1
-                ren[u2] = at2
-                raw.append((c2, gi, ren))
-        r = residual()
-
-    w = make_witness(raw)
-    if not verify_witness(inst, w, "Z"):
-        raise CalculusError("arity-2 extraction produced a non-verifying witness")
-    return w
-
-
-# ---------------------------------------------------------------------------
-# general extractor
 
 
 def extract_witness_general(
@@ -280,3 +131,11 @@ def extract_witness_general(
     if not verify_witness(inst, w, "Z"):
         raise CalculusError("general extraction produced a non-verifying witness")
     return w
+
+
+def extract_witness_k2(inst: Instance) -> Optional[Witness]:
+    """`extract_witness_general` on an arity-2 instance; raises ValueError
+    for any other arity."""
+    if inst.arity != 2:
+        raise ValueError("extract_witness_k2 requires arity 2")
+    return extract_witness_general(inst)

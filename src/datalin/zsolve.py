@@ -10,9 +10,9 @@ linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
-    DataVector,
     Hypergraph,
     Instance,
     IntVector,
@@ -37,18 +37,25 @@ class LocalReport:
     failures: tuple[LocalFailure, ...]
 
 
-def layer_columns(generators: tuple[Hypergraph, ...], size: int) -> list[IntVector]:
-    """Deduplicated weights of all size-`size` vertex subsets of the
-    generator hypergraphs (zero columns dropped)."""
-    seen: set[IntVector] = set()
-    cols: list[IntVector] = []
-    for g in generators:
+def layer_weights(
+    generators: Sequence[Hypergraph], size: int
+) -> dict[IntVector, tuple[int, KSet]]:
+    """Each distinct nonzero weight of a size-`size` vertex subset of the
+    generator hypergraphs, mapped to the first (generator index, subset)
+    carrying it; insertion order is the order of first appearance."""
+    reps: dict[IntVector, tuple[int, KSet]] = {}
+    for gi, g in enumerate(generators):
         for x in subsets_of_size(g.vertices, size):
             w = weight(g, x)
-            if any(w) and w not in seen:
-                seen.add(w)
-                cols.append(w)
-    return cols
+            if any(w) and w not in reps:
+                reps[w] = (gi, x)
+    return reps
+
+
+def layer_columns(generators: Sequence[Hypergraph], size: int) -> list[IntVector]:
+    """Deduplicated weights of all size-`size` vertex subsets of the
+    generator hypergraphs (zero columns dropped)."""
+    return list(layer_weights(generators, size))
 
 
 def local_check(inst: Instance) -> LocalReport:

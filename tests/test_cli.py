@@ -11,8 +11,9 @@ from datalin.cli import (
     parse_instance,
     parse_witness,
 )
+from datalin.calculus import CalculusError
 from datalin.core import DataVector, Instance
-from datalin.witness import WitnessTerm, Witness
+from datalin.witness import WitnessTerm, Witness, extract_witness_general
 
 from conftest import pair_generator, point_target, triangle, edge_target
 
@@ -152,6 +153,39 @@ def test_witness_and_verify_round_trip(tmp_path, capsys):
     assert main(["verify", inst_path, str(wpath), "--mode", "N"]) == 1
 
 
+def test_witness_command_uses_the_general_extractor(tmp_path, capsys):
+    table = AtomTable()
+    expected = emit_witness(extract_witness_general(parse_instance(EX2, table)), table)
+    path = write(tmp_path, "ex2.json", EX2)
+    assert main(["witness", path]) == 0
+    assert capsys.readouterr().out == "WITNESS-FOUND\n" + json.dumps(
+        expected, sort_keys=True, separators=(",", ":")
+    ) + "\n"
+
+
+def test_zsolve_json_witness_verifies(tmp_path, capsys):
+    inst_path = write(tmp_path, "ex2.json", EX2)
+    assert main(["zsolve", inst_path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert payload["witness"] is not None
+    wpath = write(tmp_path, "w.json", payload["witness"])
+    assert main(["verify", inst_path, wpath]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["witness"], ["zsolve", "--json"]])
+def test_internal_error_exit_code_4(tmp_path, capsys, monkeypatch, argv):
+    def broken(inst):
+        raise CalculusError("decomposition left a nonzero residual")
+
+    monkeypatch.setattr("datalin.cli.extract_witness_general", broken)
+    path = write(tmp_path, "ex2.json", EX2)
+    assert main([argv[0], path, *argv[1:]]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: decomposition left a nonzero residual" in err
+    assert "Traceback" not in err
+
+
 def test_witness_absent(tmp_path, capsys):
     odd = dict(EX2, target=[{"set": ["g", "d"], "value": ["3"]}])
     path = write(tmp_path, "odd2.json", odd)
@@ -176,11 +210,6 @@ def test_format_error_exit_code_2(tmp_path, capsys):
     assert main(["zsolve", str(p)]) == 2
     missing = write(tmp_path, "missing.json", {"arity": 1})
     assert main(["zsolve", missing]) == 2
-
-
-def test_bad_thread_env_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setenv("DATALIN_THREADS", "many")
-    assert main(["zsolve", "whatever.json"]) == 2
 
 
 def test_gen_is_byte_stable(capsys):

@@ -1,0 +1,41 @@
+"""Static checks over the library source, using only the stdlib `ast`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "datalin"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement that no expression in the module
+    refers to (`from __future__` imports excepted)."""
+    tree = ast.parse(source)
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_detects_and_ignores():
+    src = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from typing import Mapping, Optional\n"
+        "def f(x: Optional[int]) -> None:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(src) == ["Mapping", "system"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []

@@ -106,6 +106,11 @@ def test_extract_witness_k2_unsolvable_returns_none(ex2_odd):
     assert extract_witness_k2(ex2_odd) is None
 
 
+def test_extract_witness_k2_rejects_other_arities(ex1):
+    with pytest.raises(ValueError):
+        extract_witness_k2(ex1)
+
+
 def test_extract_witness_general_arity_one(ex1, ex1_odd):
     w = extract_witness_general(ex1)
     assert w is not None and verify_witness(ex1, w, mode="Z")
