@@ -36,6 +36,7 @@ from .core import (
     dv_scale,
     encode_hypergraph,
     kset,
+    nonzero_weight_sets,
     vec_add,
     vec_scale,
     weight,
@@ -83,15 +84,6 @@ def reduction_matrix(a: int, b: int, c: int) -> ReductionMatrix:
         [1 if set(r) <= set(col) else 0 for col in cols] for r in rows
     ]
     return ReductionMatrix(a, b, c, IntMatrix.from_rows(entries), rows, cols)
-
-
-def kneser_disjointness_matrix(k: int) -> IntMatrix:
-    """Adjacency (disjointness) matrix of the Kneser graph on k-subsets of a
-    (2k+1)-set, both indices lexicographic."""
-    subs = list(itertools.combinations(range(2 * k + 1), k))
-    return IntMatrix.from_rows(
-        [[1 if not set(r) & set(c) else 0 for c in subs] for r in subs]
-    )
 
 
 def kneser_full_rank(k: int) -> bool:
@@ -152,19 +144,7 @@ def is_m_isolated(h: Hypergraph, m: int) -> bool:
     """All weights of vertex sets of size at most m vanish."""
     if not 0 <= m <= h.arity:
         raise ShapeError("need 0 <= m <= arity")
-    support = sorted(h.nonisolated())
-    for size in range(0, m + 1):
-        for x in itertools.combinations(support, size):
-            if any(weight(h, x)):
-                return False
-    return True
-
-
-def nonzero_weight_sets(h: Hypergraph, size: int) -> list[KSet]:
-    support = sorted(h.nonisolated())
-    return [
-        x for x in itertools.combinations(support, size) if any(weight(h, x))
-    ]
+    return not any(nonzero_weight_sets(h, size) for size in range(m + 1))
 
 
 def is_pre_m_isolated(h: Hypergraph, m: int) -> bool:
@@ -189,9 +169,9 @@ def proportionality_check(h: Hypergraph, x, l: int) -> bool:
     if not (m <= l <= h.arity) or not set(xs) <= h.vertices:
         raise ShapeError("need x within the vertex set and |x| <= l <= arity")
     total = zero_vec(h.dim)
-    rest = sorted(h.vertices - set(xs))
-    for extra in itertools.combinations(rest, l - m):
-        total = vec_add(total, weight(h, set(xs) | set(extra)))
+    for y in nonzero_weight_sets(h, l):
+        if set(xs) <= set(y):
+            total = vec_add(total, weight(h, y))
     expected = vec_scale(comb(h.arity - m, l - m), weight(h, xs))
     return total == expected
 
@@ -232,19 +212,13 @@ def verify_simple(h: Hypergraph, spec: SimpleSpec) -> bool:
         return False
     if h.vertices != a_set | b_set | c_set:
         return False
-    pairs = list(zip(spec.A, spec.B))
-    for x in itertools.combinations(sorted(h.vertices), m):
-        xs = set(x)
-        transversal = xs <= (a_set | b_set) and all(
-            (p in xs) != (q in xs) for p, q in pairs
-        )
-        w = weight(h, x)
-        if transversal:
-            sign = -1 if len(xs & b_set) % 2 else 1
-            if w != vec_scale(sign, spec.a):
-                return False
-        elif any(w):
-            return False
+    expected = {}
+    if any(spec.a):
+        for x in itertools.product(*zip(spec.A, spec.B)):
+            sign = -1 if len(b_set.intersection(x)) % 2 else 1
+            expected[kset(x)] = vec_scale(sign, spec.a)
+    if {x: weight(h, x) for x in nonzero_weight_sets(h, m)} != expected:
+        return False
     return is_m_isolated(h, m - 1) if m >= 1 else True
 
 
@@ -468,7 +442,7 @@ FamilyTerms = list[tuple[int, int, dict[Atom, Atom]]]
 
 
 def _simple_with_value(
-    family: Sequence[DataVector],
+    family: Sequence[Hypergraph],
     m: int,
     a: IntVector,
     A: tuple[Atom, ...],
@@ -481,7 +455,7 @@ def _simple_with_value(
     """(m,a)-simple k-hypergraph at the given placement, built as an integer
     combination of canonical simple graphs of the family members, together
     with family witness terms."""
-    reps = layer_weights([encode_hypergraph(g) for g in family], m)
+    reps = layer_weights(family, m)
     sol = z_solve_system(IntMatrix.from_columns(list(reps), nrows=dim), a)
     if sol is None:
         raise SpanError(
@@ -494,9 +468,7 @@ def _simple_with_value(
             continue
         key = (family[gi], xs)
         if key not in ctx.simple_cache:
-            ctx.simple_cache[key] = _construct_simple(
-                encode_hypergraph(family[gi]), xs, ctx
-            )
+            ctx.simple_cache[key] = _construct_simple(family[gi], xs, ctx)
         s_hg, s_spec, s_terms = ctx.simple_cache[key]
         tau = dict(zip(s_spec.A, A))
         tau.update(zip(s_spec.B, B))
@@ -541,30 +513,21 @@ def _express_via_simple(
     """Decompose h into simple hypergraphs of the family, supported inside
     the given vertex set.
 
-    Level by level: first a (0, w_empty)-simple graph, then for each size an
-    improvement loop that repeatedly cancels a maximal nonzero-weight set L
-    against a strictly dominated disjoint set L', until no nonzero weights of
-    that size remain.  Returns [(hypergraph, spec, family terms)] summing to
-    h exactly."""
+    Level by level, for each size an improvement loop that repeatedly cancels
+    a maximal nonzero-weight set L against a strictly dominated disjoint set
+    L', until no nonzero weights of that size remain; at size 0 this places
+    one (0, w_empty)-simple graph.  Returns [(hypergraph, spec, family
+    terms)] summing to h exactly."""
     k, d = h.arity, h.dim
     verts = sorted(set(vertices))
     if not set(h.support()) <= set(verts):
         raise ShapeError("working vertex set must cover the support")
     if len(verts) <= 2 * k - 1:
         raise ShapeError("working vertex set too small")
+    family_hs = [encode_hypergraph(g) for g in family]
     entries = []
     residual = h
-    w_empty = zero_vec(d)
-    for val in h.entries.values():
-        w_empty = vec_add(w_empty, val)
-    if any(w_empty):
-        c_block = tuple(verts[: 2 * k - 1])
-        s_hg, s_spec, s_terms = _simple_with_value(
-            family, 0, w_empty, (), (), c_block, k, d, ctx
-        )
-        entries.append((s_hg, s_spec, s_terms))
-        residual = dv_add(residual, dv_scale(-1, s_hg.as_data_vector()))
-    for level in range(1, k + 1):
+    for level in range(k + 1):
         while True:
             ctx.tick()
             res_h = Hypergraph(frozenset(verts), k, d, dict(residual.entries))
@@ -594,7 +557,7 @@ def _express_via_simple(
                 raise CalculusError("not enough vertices for the free block")
             a = weight(res_h, l_set)
             s_hg, s_spec, s_terms = _simple_with_value(
-                family, level, a, l_set, below, c_block, k, d, ctx
+                family_hs, level, a, l_set, below, c_block, k, d, ctx
             )
             entries.append((s_hg, s_spec, s_terms))
             residual = dv_add(residual, dv_scale(-1, s_hg.as_data_vector()))

@@ -9,7 +9,8 @@ the format is lossless.
 
 Exit codes: 0 solvable/verified, 1 not solvable/not verified, 2 usage or
 parse error, 3 inconclusive (a resource cap truncated the search), 4
-internal error (a construction failed its own consistency check).
+internal error (a construction or a computed answer failed its own
+consistency check).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     DataVector,
     Instance,
     ShapeError,
+    VerificationError,
     dv_add,
     dv_permute,
     dv_scale,
@@ -481,7 +483,7 @@ def main(argv=None) -> int:
     except (FormatError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CalculusError as exc:
+    except (CalculusError, VerificationError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -5,12 +5,20 @@ integer vectors of a fixed dimension d.  A *hypergraph* is the finite carrier
 of a data vector: an explicit vertex set (possibly with isolated vertices)
 together with the weight function on k-subsets.  All values are immutable
 after construction and all integers are arbitrary precision.
+
+Subset weights (the weight of a vertex set X is the sum of mu(e) over the
+hyperedges e containing X) come from one sparse table per hypergraph, built
+on first use by adding each hyperedge's value into each of its 2^k subsets:
+it costs entries * 2^k additions and stores only the nonzero weights.
+`weight` and `nonzero_weight_sets` read that table, so a hypergraph's `mu`
+must not be mutated after construction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 # Atoms are canonical nonnegative integers.  Input files may use arbitrary
@@ -26,6 +34,10 @@ IntVector = tuple[int, ...]
 
 class ShapeError(ValueError):
     """Raised on arity/dimension mismatches or malformed keys."""
+
+
+class VerificationError(Exception):
+    """A computed answer failed its re-verification (raised, not asserted)."""
 
 
 def kset(atoms: Iterable[Atom]) -> KSet:
@@ -168,6 +180,23 @@ class Hypergraph:
     def nonisolated(self) -> frozenset[Atom]:
         return frozenset(a for key in self.mu for a in key)
 
+    def __hash__(self) -> int:
+        """By value, like DataVector's, so constructions can memoize on it."""
+        return hash((self.vertices, self.arity, self.dim, frozenset(self.mu.items())))
+
+    @cached_property
+    def _weight_table(self) -> tuple[dict[KSet, IntVector], ...]:
+        """Nonzero subset weights, one dict per subset size, keys sorted."""
+        layers: list[dict[KSet, IntVector]] = [{} for _ in range(self.arity + 1)]
+        for key, val in self.mu.items():
+            for size, layer in enumerate(layers):
+                for x in itertools.combinations(key, size):
+                    cur = layer.get(x)
+                    layer[x] = val if cur is None else vec_add(cur, val)
+        return tuple(
+            {x: layer[x] for x in sorted(layer) if any(layer[x])} for layer in layers
+        )
+
 
 def encode_hypergraph(a: DataVector) -> Hypergraph:
     """Carrier hypergraph of a data vector: vertices are the atoms of the
@@ -177,18 +206,20 @@ def encode_hypergraph(a: DataVector) -> Hypergraph:
 
 
 def weight(h: Hypergraph, x: Iterable[Atom]) -> IntVector:
-    """Sum of mu(e) over hyperedges e containing x; zero when x is not a
-    subset of the vertex set."""
-    xs = frozenset(x)
+    """Sum of mu(e) over hyperedges e containing x, read from the weight
+    table; zero when x is not a subset of the vertex set."""
+    xs = tuple(sorted(set(x)))
     if len(xs) > h.arity:
         raise ShapeError(f"|x| = {len(xs)} exceeds arity {h.arity}")
-    if not xs <= h.vertices:
-        return zero_vec(h.dim)
-    total = zero_vec(h.dim)
-    for key, val in h.mu.items():
-        if xs <= set(key):
-            total = vec_add(total, val)
-    return total
+    w = h._weight_table[len(xs)].get(xs)
+    return zero_vec(h.dim) if w is None else w
+
+
+def nonzero_weight_sets(h: Hypergraph, size: int) -> list[KSet]:
+    """The vertex sets of the given size with nonzero weight, sorted."""
+    if not 0 <= size <= h.arity:
+        raise ShapeError(f"need 0 <= size <= arity {h.arity}, got {size}")
+    return list(h._weight_table[size])
 
 
 def hg_add(g: Hypergraph, h: Hypergraph) -> Hypergraph:
@@ -297,7 +328,3 @@ class FreshAtoms:
 
     def reserve(self, used: Iterable[Atom]) -> None:
         self._next = max(self._next, max(used, default=-1) + 1)
-
-
-def subsets_of_size(atoms: Iterable[Atom], size: int) -> Iterable[KSet]:
-    return itertools.combinations(sorted(atoms), size)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import IntVector, ShapeError
+from .core import IntVector, ShapeError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def z_solve_system(m: IntMatrix, y: Sequence[int]) -> Optional[tuple[int, ...]]:
     if any(residual):
         return None
     x = tuple(sum(u[c][j] * t[c] for c in range(n)) for j in range(n))
-    assert m.mul_vec(x) == tuple(y), "HNF solver produced a non-solution"
+    if m.mul_vec(x) != tuple(y):
+        raise VerificationError("HNF solver produced a non-solution")
     return x
 
 
@@ -215,10 +216,11 @@ def cone_member_certificate(
         for i, b in enumerate(basis):
             if b < n:
                 q[b] = tab[i][n + d]
-        assert all(qi >= 0 for qi in q)
+        if any(qi < 0 for qi in q):
+            raise VerificationError("simplex certificate has a negative coefficient")
         for i in range(d):
-            total = sum(q[j] * gens[j][i] for j in range(n))
-            assert total == y[i], "simplex certificate failed re-verification"
+            if sum(q[j] * gens[j][i] for j in range(n)) != y[i]:
+                raise VerificationError("simplex certificate failed re-verification")
         return True, tuple(q)
     # simplex multipliers from the artificial columns' reduced costs
     rc = [
@@ -227,11 +229,11 @@ def cone_member_certificate(
     ]
     pi = [1 - rc[n + i] for i in range(d)]
     z = tuple(-sign[i] * pi[i] for i in range(d))
-    zy = sum(z[i] * y[i] for i in range(d))
-    assert zy < 0, "Farkas functional failed: z.y must be negative"
+    if sum(z[i] * y[i] for i in range(d)) >= 0:
+        raise VerificationError("Farkas functional failed: z.y must be negative")
     for j in range(n):
-        zg = sum(z[i] * gens[j][i] for i in range(d))
-        assert zg >= 0, "Farkas functional failed: z.g must be nonnegative"
+        if sum(z[i] * gens[j][i] for i in range(d)) < 0:
+            raise VerificationError("Farkas functional failed: z.g must be nonnegative")
     return False, z
 
 

@@ -16,7 +16,14 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DataVector, FreshAtoms, Instance, dv_permute, dv_scale
+from .core import (
+    DataVector,
+    FreshAtoms,
+    Instance,
+    VerificationError,
+    dv_permute,
+    dv_scale,
+)
 from .witness import Witness, make_witness, verify_witness
 
 
@@ -174,7 +181,7 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
         return None
     w = make_witness(sentinel)
     if not verify_witness(inst, w, cfg.mode):
-        raise AssertionError("oracle produced a non-verifying witness")
+        raise VerificationError("oracle produced a non-verifying witness")
     return w
 
 

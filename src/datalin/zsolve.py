@@ -18,7 +18,7 @@ from .core import (
     IntVector,
     KSet,
     encode_hypergraph,
-    subsets_of_size,
+    nonzero_weight_sets,
     weight,
 )
 from .intlin import IntMatrix, z_solve_system
@@ -45,9 +45,9 @@ def layer_weights(
     carrying it; insertion order is the order of first appearance."""
     reps: dict[IntVector, tuple[int, KSet]] = {}
     for gi, g in enumerate(generators):
-        for x in subsets_of_size(g.vertices, size):
+        for x in nonzero_weight_sets(g, size):
             w = weight(g, x)
-            if any(w) and w not in reps:
+            if w not in reps:
                 reps[w] = (gi, x)
     return reps
 
@@ -67,13 +67,10 @@ def local_check(inst: Instance) -> LocalReport:
     for size in range(0, inst.arity + 1):
         cols = layer_columns(gen_hs, size)
         matrix = IntMatrix.from_columns(cols, nrows=inst.dim)
-        for x in subsets_of_size(target_h.vertices, size):
+        for x in nonzero_weight_sets(target_h, size):
             w = weight(target_h, x)
-            if not any(w):
-                continue
             if z_solve_system(matrix, w) is None:
                 failures.append(LocalFailure(x, w, len(cols)))
-    failures.sort(key=lambda f: (len(f.subset), f.subset))
     return LocalReport(decision=not failures, failures=tuple(failures))
 
 

@@ -13,7 +13,6 @@ from datalin.calculus import (
     express_via_simple,
     is_m_isolated,
     is_pre_m_isolated,
-    kneser_disjointness_matrix,
     kneser_full_rank,
     merge_terms,
     proportionality_check,
@@ -81,18 +80,6 @@ def test_reduction_matrix_rejects_bad_order():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_kneser_full_rank(k):
     assert kneser_full_rank(k)
-
-
-def test_kneser_matrix_is_symmetric_with_unit_row_sums_times_k1():
-    m = kneser_disjointness_matrix(2)  # 2-subsets of a 5-set
-    assert m.rows == m.cols == 10
-    assert all(
-        m.entries[i][j] == m.entries[j][i]
-        for i in range(10)
-        for j in range(10)
-    )
-    # each 2-subset of a 5-set is disjoint from exactly C(3,2)=3 others
-    assert all(sum(row) == 3 for row in m.entries)
 
 
 # ---------------------------------------------------------------------------

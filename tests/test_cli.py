@@ -12,7 +12,7 @@ from datalin.cli import (
     parse_witness,
 )
 from datalin.calculus import CalculusError
-from datalin.core import DataVector, Instance
+from datalin.core import DataVector, Instance, VerificationError
 from datalin.witness import WitnessTerm, Witness, extract_witness_general
 
 from conftest import pair_generator, point_target, triangle, edge_target
@@ -183,6 +183,18 @@ def test_internal_error_exit_code_4(tmp_path, capsys, monkeypatch, argv):
     assert main([argv[0], path, *argv[1:]]) == 4
     err = capsys.readouterr().err
     assert "internal error: decomposition left a nonzero residual" in err
+    assert "Traceback" not in err
+
+
+def test_verification_error_exit_code_4(tmp_path, capsys, monkeypatch):
+    def broken(inst):
+        raise VerificationError("HNF solver produced a non-solution")
+
+    monkeypatch.setattr("datalin.cli.local_check", broken)
+    path = write(tmp_path, "ex2.json", EX2)
+    assert main(["check-local", path]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: HNF solver produced a non-solution" in err
     assert "Traceback" not in err
 
 

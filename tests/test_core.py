@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,7 @@ from datalin.core import (
     equivalent,
     hg_add,
     kset,
-    subsets_of_size,
+    nonzero_weight_sets,
     weight,
 )
 
@@ -96,6 +98,44 @@ def test_weight_sums_over_superset_edges():
     assert weight(h, (5,)) == (0,)  # outside the vertex set
 
 
+@st.composite
+def hypergraphs(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=2))
+    verts = draw(st.frozensets(atoms_st, min_size=k))
+    mu = draw(
+        st.dictionaries(
+            st.sampled_from(list(itertools.combinations(sorted(verts), k))),
+            st.tuples(*([st.integers(min_value=-2, max_value=2)] * d)),
+        )
+    )
+    return Hypergraph(verts, k, d, mu)
+
+
+def scan_weight(h, x):
+    """The definition: the sum of mu(e) over the hyperedges e containing x."""
+    total = (0,) * h.dim
+    for key, val in h.mu.items():
+        if set(x) <= set(key):
+            total = tuple(a + b for a, b in zip(total, val))
+    return total
+
+
+@given(hypergraphs())
+def test_weight_table_matches_the_definitional_scan(h):
+    atoms = sorted(h.vertices) + [max(h.vertices) + 1]  # one atom outside
+    for size in range(h.arity + 1):
+        nonzero = []
+        for x in itertools.combinations(atoms, size):
+            w = scan_weight(h, x)
+            assert weight(h, x) == weight(h, x[::-1]) == w
+            if any(w):
+                nonzero.append(x)
+        assert nonzero_weight_sets(h, size) == nonzero
+    with pytest.raises(ShapeError):
+        weight(h, atoms[: h.arity + 1])
+
+
 def test_weight_is_additive():
     g = encode_hypergraph(triangle(0, 1, 2))
     h = Hypergraph(frozenset({0, 1, 2}), 2, 1, {(0, 1): (4,)})
@@ -128,4 +168,3 @@ def test_instance_atoms_and_validation():
 
 def test_kset_and_subsets():
     assert kset([3, 1, 2]) == (1, 2, 3)
-    assert list(subsets_of_size([0, 1, 2], 2)) == [(0, 1), (0, 2), (1, 2)]

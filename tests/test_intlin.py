@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,33 @@ from datalin.intlin import (
     z_solve_system,
 )
 from datalin.core import ShapeError
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs under `python -O`, which strips asserts: with the matrix product
+# patched to be off by one, the HNF solver's re-verification must still fail.
+_BROKEN_PRODUCT = """
+import sys
+from datalin.core import VerificationError
+from datalin.intlin import IntMatrix, z_solve_system
+product = IntMatrix.mul_vec
+IntMatrix.mul_vec = lambda m, x: tuple(v + 1 for v in product(m, x))
+assert False, "asserts are live"
+try:
+    z_solve_system(IntMatrix.from_rows([[2]]), (4,))
+except VerificationError as exc:
+    print(sys.flags.optimize, type(exc).__name__, exc)
+"""
+
+
+def test_self_check_raises_verification_error_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_PRODUCT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "1 VerificationError HNF solver produced a non-solution\n"
 
 
 def test_matrix_construction_and_multiply():

@@ -25,6 +25,21 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unreferenced_private(source: str) -> list[str]:
+    """Module-level `_private` functions and classes whose name no
+    expression in the module refers to."""
+    tree = ast.parse(source)
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(defined - used)
+
+
 def test_unused_imports_detects_and_ignores():
     src = (
         "from __future__ import annotations\n"
@@ -39,3 +54,25 @@ def test_unused_imports_detects_and_ignores():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_unreferenced_private_detects_and_ignores():
+    src = (
+        "class _Kept:\n"
+        "    def _method(self):\n"
+        "        return 0\n"
+        "def _dead():\n"
+        "    return _Kept()\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def public():\n"
+        "    return _helper()\n"
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
+    )
+    assert unreferenced_private(src) == ["_dead"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unreferenced_private_helpers(module):
+    assert unreferenced_private((SRC / module).read_text(encoding="utf-8")) == []

@@ -1,5 +1,7 @@
-from datalin.core import DataVector, Instance, encode_hypergraph
-from datalin.zsolve import layer_columns, local_check, z_solvable
+from hypothesis import given, settings, strategies as st
+
+from datalin.core import DataVector, Instance, dv_permute, encode_hypergraph, kset
+from datalin.zsolve import LocalFailure, layer_columns, local_check, z_solvable
 
 from conftest import edge_target, pair_generator, point_target, triangle
 
@@ -65,3 +67,52 @@ def test_failure_report_is_sorted(ex2_odd):
     report = local_check(ex2_odd)
     keys = [(len(f.subset), f.subset) for f in report.failures]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: renaming, reordering and duplicating generators
+
+
+@st.composite
+def small_instances(draw):
+    k = draw(st.integers(min_value=1, max_value=2))
+    d = draw(st.integers(min_value=1, max_value=2))
+    keys = st.frozensets(st.integers(min_value=0, max_value=5), min_size=k, max_size=k)
+    vals = st.tuples(*([st.integers(min_value=-2, max_value=2)] * d))
+
+    def vec():
+        return st.dictionaries(keys, vals, max_size=4).map(
+            lambda e: DataVector(k, d, {kset(x): v for x, v in e.items()})
+        )
+
+    gens = draw(st.lists(vec(), min_size=1, max_size=3))
+    return Instance(k, d, tuple(gens), draw(vec()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), st.permutations(list(range(12))), st.randoms())
+def test_local_check_is_invariant_under_renaming_reordering_duplication(
+    inst, perm, rnd
+):
+    report = local_check(inst)
+    pi = dict(enumerate(perm))
+    renamed = local_check(
+        Instance(
+            inst.arity,
+            inst.dim,
+            tuple(dv_permute(g, pi) for g in inst.generators),
+            dv_permute(inst.target, pi),
+        )
+    )
+    assert renamed.decision == report.decision
+    mapped = sorted(
+        (LocalFailure(kset(pi[a] for a in f.subset), f.target_weight, f.num_columns)
+         for f in report.failures),
+        key=lambda f: (len(f.subset), f.subset),
+    )
+    assert list(renamed.failures) == mapped
+    gens = list(inst.generators)
+    gens += rnd.sample(gens, rnd.randint(1, len(gens)))
+    rnd.shuffle(gens)
+    shuffled = Instance(inst.arity, inst.dim, tuple(gens), inst.target)
+    assert local_check(shuffled) == report
