@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     Atom,
@@ -42,7 +42,7 @@ from .core import (
     weight,
     zero_vec,
 )
-from .intlin import IntMatrix, rank_full, z_solve_system
+from .intlin import HermiteForm, IntMatrix, hnf, rank_full
 from .zsolve import layer_weights
 
 
@@ -441,9 +441,24 @@ def construct_simple(g: Hypergraph, x):
 FamilyTerms = list[tuple[int, int, dict[Atom, Atom]]]
 
 
+class _FamilyLayer(NamedTuple):
+    """A family's deduplicated nonzero size-`size` weights (`layer_weights`)
+    and the factorisation of the matrix whose columns they are."""
+
+    size: int
+    reps: dict[IntVector, tuple[int, KSet]]
+    factor: HermiteForm
+
+
+def _family_layer(family: Sequence[Hypergraph], m: int, dim: int) -> _FamilyLayer:
+    reps = layer_weights(family, m)
+    matrix = IntMatrix.from_columns(list(reps), nrows=dim)
+    return _FamilyLayer(m, reps, hnf(matrix))
+
+
 def _simple_with_value(
     family: Sequence[Hypergraph],
-    m: int,
+    layer: _FamilyLayer,
     a: IntVector,
     A: tuple[Atom, ...],
     B: tuple[Atom, ...],
@@ -452,11 +467,11 @@ def _simple_with_value(
     dim: int,
     ctx: _Ctx,
 ):
-    """(m,a)-simple k-hypergraph at the given placement, built as an integer
-    combination of canonical simple graphs of the family members, together
-    with family witness terms."""
-    reps = layer_weights(family, m)
-    sol = z_solve_system(IntMatrix.from_columns(list(reps), nrows=dim), a)
+    """(m,a)-simple k-hypergraph at the given placement, with m the layer's
+    size, built as an integer combination of canonical simple graphs of the
+    family members, together with family witness terms."""
+    m, reps = layer.size, layer.reps
+    sol = layer.factor.solve(a)
     if sol is None:
         raise SpanError(
             f"value {a} outside the integer span of size-{m} family weights"
@@ -528,6 +543,7 @@ def _express_via_simple(
     entries = []
     residual = h
     for level in range(k + 1):
+        layer = None  # built when the level first needs a simple graph
         while True:
             ctx.tick()
             res_h = Hypergraph(frozenset(verts), k, d, dict(residual.entries))
@@ -556,8 +572,10 @@ def _express_via_simple(
             if len(c_block) < max(0, 2 * (k - level) - 1):
                 raise CalculusError("not enough vertices for the free block")
             a = weight(res_h, l_set)
+            if layer is None:
+                layer = _family_layer(family_hs, level, d)
             s_hg, s_spec, s_terms = _simple_with_value(
-                family_hs, level, a, l_set, below, c_block, k, d, ctx
+                family_hs, layer, a, l_set, below, c_block, k, d, ctx
             )
             entries.append((s_hg, s_spec, s_terms))
             residual = dv_add(residual, dv_scale(-1, s_hg.as_data_vector()))

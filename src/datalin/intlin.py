@@ -1,10 +1,15 @@
 """Exact integer and rational linear algebra.
 
 Z-solvability of classical linear systems via column-style Hermite normal
-form, full-rank testing by fraction-free (Bareiss) elimination, membership in
-the nonnegative rational cone by an exact simplex with Bland's rule, and the
-exponential norm bound driving the bounded nonnegative search.  No floating
-point anywhere.
+form, split into a factor step and a solve step: `hnf(m)` factors M once
+into an immutable `HermiteForm`, whose `.solve(y)` decides one right-hand
+side by a triangular solve and re-verifies M*x = y.  `z_solve_system(m, y)`
+is the one-shot `hnf(m).solve(y)`; callers that solve many right-hand sides
+against one matrix (a layer of the Z criterion) hold the factorisation
+instead.  Also: full-rank testing by fraction-free (Bareiss) elimination,
+membership in the nonnegative rational cone by an exact simplex with
+Bland's rule, and the exponential norm bound driving the bounded
+nonnegative search.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -50,10 +55,7 @@ class IntMatrix:
     def mul_vec(self, x: Sequence[int]) -> tuple[int, ...]:
         if len(x) != self.cols:
             raise ShapeError("vector length does not match column count")
-        return tuple(
-            sum(self.entries[i][j] * x[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(a * b for a, b in zip(row, x)) for row in self.entries)
 
 
 def inf_norm(v: Iterable[int]) -> int:
@@ -69,15 +71,58 @@ def matrix_one_inf_norm(m: IntMatrix) -> int:
     return max((one_norm(m.column(j)) for j in range(m.cols)), default=0)
 
 
-def z_solve_system(m: IntMatrix, y: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Some integer solution x of M*x = y, or None.
+@dataclass(frozen=True)
+class HermiteForm:
+    """Column-style Hermite factorisation M*U = H of one integer matrix.
 
-    Column-style Hermite normal form: column operations (recorded in a
-    unimodular transform) bring M to echelon form, a triangular solve with
-    exact divisibility checks decides solvability, and the returned x is
-    verified by multiplication before returning."""
-    if len(y) != m.rows:
-        raise ShapeError("right-hand side length does not match row count")
+    `h` and `u` hold the columns of H and of the unimodular U, so that
+    M * u[j] = h[j].  H is in column echelon form: `pivots` lists (row i,
+    column c) with rows increasing and c = 0, 1, ...; h[c][i] is nonzero,
+    h[c] is zero above row i, every later column is zero in row i, and the
+    columns after the last pivot are zero.  Immutable, so one factorisation
+    serves any number of right-hand sides."""
+
+    matrix: IntMatrix
+    h: tuple[tuple[int, ...], ...]
+    u: tuple[tuple[int, ...], ...]
+    pivots: tuple[tuple[int, int], ...]
+
+    def solve(self, y: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Some integer solution x of M*x = y, or None.
+
+        A triangular solve over the pivots with exact divisibility checks
+        decides solvability; the returned x is verified by multiplication
+        with M before returning."""
+        m = self.matrix
+        if len(y) != m.rows:
+            raise ShapeError("right-hand side length does not match row count")
+        residual = list(y)
+        t = []
+        for i, c in self.pivots:
+            col = self.h[c]
+            coeff, rem = divmod(residual[i], col[i])
+            if rem:
+                return None
+            t.append(coeff)
+            if coeff:
+                residual = [a - coeff * b for a, b in zip(residual, col)]
+        if any(residual):
+            return None
+        x = [0] * m.cols
+        for coeff, col in zip(t, self.u):
+            if coeff:
+                x = [a + coeff * b for a, b in zip(x, col)]
+        x = tuple(x)
+        if m.mul_vec(x) != tuple(y):
+            raise VerificationError("HNF solver produced a non-solution")
+        return x
+
+
+def hnf(m: IntMatrix) -> HermiteForm:
+    """Factor M once: column operations, recorded in a unimodular
+    transform, bring M to column echelon form (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  Deterministic, so every
+    solve gives the same x for the same M and y."""
     r, n = m.rows, m.cols
     # column-major working copies
     h = [list(m.column(j)) for j in range(n)]
@@ -107,22 +152,17 @@ def z_solve_system(m: IntMatrix, y: Sequence[int]) -> Optional[tuple[int, ...]]:
         if c < n and h[c][i] != 0:
             pivots.append((i, c))
             c += 1
-    residual = list(y)
-    t = [0] * n
-    for i, c in pivots:
-        piv = h[c][i]
-        if residual[i] % piv:
-            return None
-        coeff = residual[i] // piv
-        t[c] = coeff
-        if coeff:
-            residual = [a - coeff * b for a, b in zip(residual, h[c])]
-    if any(residual):
-        return None
-    x = tuple(sum(u[c][j] * t[c] for c in range(n)) for j in range(n))
-    if m.mul_vec(x) != tuple(y):
-        raise VerificationError("HNF solver produced a non-solution")
-    return x
+    return HermiteForm(
+        m, tuple(map(tuple, h)), tuple(map(tuple, u)), tuple(pivots)
+    )
+
+
+def z_solve_system(m: IntMatrix, y: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Some integer solution x of M*x = y, or None: `hnf(m).solve(y)`.
+
+    It factors M on every call; a caller with several right-hand sides for
+    one matrix factors it once with `hnf` and solves each with the result."""
+    return hnf(m).solve(y)
 
 
 def _graded_lex_boxes(n: int, bound: int):
@@ -200,7 +240,7 @@ def cone_member_certificate(
             if tab[i][entering] > 0
         ]
         if not ratios:
-            raise ArithmeticError("phase-1 objective unbounded below (impossible)")
+            raise VerificationError("phase-1 objective unbounded below (impossible)")
         _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
         piv = tab[leave][entering]
         tab[leave] = [a / piv for a in tab[leave]]

@@ -28,7 +28,7 @@ from .core import (
     vec_add,
     zero_vec,
 )
-from .intlin import IntMatrix, cone_member, inf_norm, one_norm, z_solve_system
+from .intlin import IntMatrix, cone_member, hnf, inf_norm, one_norm
 from .zsolve import LocalReport, local_check, z_solvable
 
 
@@ -161,17 +161,21 @@ def n_solvable(
     if not z_solvable(inst):
         return NDecision("UNSOLVABLE", bounds)
 
+    if bounds.coeff_bound > coeff_cap:
+        return NDecision("INCONCLUSIVE", bounds)
+
     gens = inst.generators
     rev_gens = tuple(gens[i] for i in part.reversible)
-    rev_proj = [data_projection(g) for g in rev_gens]
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
     d = inst.dim
+    # factored once: every composition solves against the same matrix
+    rev_proj = hnf(
+        IntMatrix.from_columns([data_projection(g) for g in rev_gens], nrows=d)
+    )
 
-    total_cap = min(bounds.coeff_bound, coeff_cap)
+    total_cap = bounds.coeff_bound
     budget = _Budget(guess_cap)
-    if bounds.coeff_bound > coeff_cap:
-        budget.truncated = True
 
     def residual_ok(residual: DataVector):
         sub = Instance(inst.arity, d, rev_gens, residual)
@@ -233,12 +237,7 @@ def n_solvable(
             for c, i in zip(counts, nonrev):
                 p = data_projection(gens[i])
                 needed = [x - c * y for x, y in zip(needed, p)]
-            if rev_proj:
-                if z_solve_system(
-                    IntMatrix.from_columns(rev_proj, nrows=d), needed
-                ) is None:
-                    continue
-            elif any(needed):
+            if rev_proj.solve(needed) is None:
                 continue
             copies = [
                 i for c, i in zip(counts, nonrev) for _ in range(c)

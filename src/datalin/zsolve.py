@@ -4,7 +4,8 @@ The target is expressible as an integer combination of renamed generators iff
 for every subset X of its carrier's vertices with |X| <= arity (including the
 empty set) the weight of X is an integer combination of the generators'
 weights of sets of the same cardinality.  Each layer is one classical integer
-linear system.
+linear system: its matrix (the generators' deduplicated weights) is
+factored once and every target subset of that size is one right-hand side.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .core import (
     nonzero_weight_sets,
     weight,
 )
-from .intlin import IntMatrix, z_solve_system
+from .intlin import IntMatrix, hnf
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,21 @@ def layer_columns(generators: Sequence[Hypergraph], size: int) -> list[IntVector
 
 def local_check(inst: Instance) -> LocalReport:
     """Check every layer of the local criterion and report all failing
-    subsets, sorted by (size, lexicographic subset)."""
+    subsets, sorted by (size, lexicographic subset).  A layer's matrix is
+    factored once, and only when the target has a nonzero subset of that
+    size."""
     target_h = encode_hypergraph(inst.target)
     gen_hs = tuple(encode_hypergraph(g) for g in inst.generators)
     failures: list[LocalFailure] = []
     for size in range(0, inst.arity + 1):
+        subsets = nonzero_weight_sets(target_h, size)
+        if not subsets:
+            continue
         cols = layer_columns(gen_hs, size)
-        matrix = IntMatrix.from_columns(cols, nrows=inst.dim)
-        for x in nonzero_weight_sets(target_h, size):
+        layer = hnf(IntMatrix.from_columns(cols, nrows=inst.dim))
+        for x in subsets:
             w = weight(target_h, x)
-            if z_solve_system(matrix, w) is None:
+            if layer.solve(w) is None:
                 failures.append(LocalFailure(x, w, len(cols)))
     return LocalReport(decision=not failures, failures=tuple(failures))
 

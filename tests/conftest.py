@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from datalin.core import DataVector, Hypergraph, Instance
+from datalin.core import DataVector, Hypergraph, Instance, kset
 
 
 def pair_generator(x=0, y=1):
@@ -54,6 +56,29 @@ def ex2_odd():
     return Instance(2, 1, (triangle(0, 1, 2),), edge_target(3))
 
 
+class NeverPositive(Fraction):
+    """A Fraction that never compares as positive.  Patched in for
+    `intlin.Fraction`, it empties the simplex's ratio test and so reaches the
+    phase-1 "unbounded" branch, which no input can reach."""
+
+    def __gt__(self, other):
+        return False
+
+
+def spy(monkeypatch, owner, name):
+    """Replace `owner.name` by a wrapper that records the positional
+    arguments of each call; returns the record."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def random_data_vector(rng: random.Random, k, d, atoms, lo=-2, hi=2, p=0.6):
     entries = {}
     for e in itertools.combinations(sorted(atoms), k):
@@ -67,3 +92,21 @@ def random_data_vector(rng: random.Random, k, d, atoms, lo=-2, hi=2, p=0.6):
 def random_hypergraph(rng: random.Random, k, d, atoms, lo=-2, hi=2, p=0.6):
     dv = random_data_vector(rng, k, d, atoms, lo, hi, p)
     return Hypergraph(frozenset(atoms), k, d, dict(dv.entries))
+
+
+@st.composite
+def small_instances(draw, max_generators=3):
+    """Arity 1 or 2, dimension 1 or 2, atoms 0..5, values in -2..2, at most
+    four entries per vector and 1..max_generators generators."""
+    k = draw(st.integers(min_value=1, max_value=2))
+    d = draw(st.integers(min_value=1, max_value=2))
+    keys = st.frozensets(st.integers(min_value=0, max_value=5), min_size=k, max_size=k)
+    vals = st.tuples(*([st.integers(min_value=-2, max_value=2)] * d))
+
+    def vec():
+        return st.dictionaries(keys, vals, max_size=4).map(
+            lambda e: DataVector(k, d, {kset(x): v for x, v in e.items()})
+        )
+
+    gens = draw(st.lists(vec(), min_size=1, max_size=max_generators))
+    return Instance(k, d, tuple(gens), draw(vec()))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datalin import calculus
 from datalin.calculus import (
     CalculusError,
     SimpleSpec,
@@ -32,7 +33,7 @@ from datalin.core import (
     weight,
 )
 
-from conftest import random_hypergraph, triangle
+from conftest import random_hypergraph, spy, triangle
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +296,13 @@ def test_express_via_simple_reconstructs_target():
             total = dv_add(total, dv_scale(c, dv_permute(gen, ren)))
     assert simple_sum == target
     assert total == target
+
+
+def test_decomposition_factors_each_level_once(monkeypatch):
+    factored = spy(monkeypatch, calculus, "hnf")
+    placed = spy(monkeypatch, calculus, "_simple_with_value")
+    target = dv_add(triangle(0, 1, 2, 2), triangle(2, 3, 4, -1))
+    express_via_simple(target, [triangle(0, 1, 2)], tuple(range(7)))
+    levels = [args[1].size for args in placed]
+    assert len(levels) > 3
+    assert len(factored) == len(set(levels)) == 3

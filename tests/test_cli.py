@@ -11,11 +11,18 @@ from datalin.cli import (
     parse_instance,
     parse_witness,
 )
+from datalin import intlin
 from datalin.calculus import CalculusError
 from datalin.core import DataVector, Instance, VerificationError
 from datalin.witness import WitnessTerm, Witness, extract_witness_general
 
-from conftest import pair_generator, point_target, triangle, edge_target
+from conftest import (
+    NeverPositive,
+    edge_target,
+    pair_generator,
+    point_target,
+    triangle,
+)
 
 
 EX1 = {
@@ -195,6 +202,20 @@ def test_verification_error_exit_code_4(tmp_path, capsys, monkeypatch):
     assert main(["check-local", path]) == 4
     err = capsys.readouterr().err
     assert "internal error: HNF solver produced a non-solution" in err
+    assert "Traceback" not in err
+
+
+def test_unbounded_simplex_exit_code_4(tmp_path, capsys, monkeypatch):
+    # the reversibility test runs the simplex, whose impossible branch is
+    # forced here: an internal error, not a traceback
+    monkeypatch.setattr(intlin, "Fraction", NeverPositive)
+    negated = [{"set": ["d"], "value": ["-1"]}]
+    path = write(
+        tmp_path, "rev.json", dict(EX1, generators=EX1["generators"] + [negated])
+    )
+    assert main(["nsolve", path]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: phase-1 objective unbounded" in err
     assert "Traceback" not in err
 
 

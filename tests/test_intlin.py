@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datalin import intlin
 from datalin.intlin import (
     IntMatrix,
     cone_member,
     cone_member_certificate,
+    hnf,
     inf_norm,
     matrix_one_inf_norm,
     n_solve_bounded,
@@ -20,7 +22,9 @@ from datalin.intlin import (
     rank_full,
     z_solve_system,
 )
-from datalin.core import ShapeError
+from datalin.core import ShapeError, VerificationError
+
+from conftest import NeverPositive
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -104,6 +108,61 @@ def test_z_solve_none_means_no_solution_small(data):
         for a in range(-6, 7):
             for b in range(-6, 7):
                 assert m.mul_vec((a, b)) != y
+
+
+@st.composite
+def small_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(0, 4))
+    ent = st.integers(-4, 4)
+    return IntMatrix.from_rows(
+        [[draw(ent) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.data())
+def test_hnf_factorisation_properties(m, data):
+    f = hnf(m)
+    assert f.matrix == m
+    assert len(f.h) == len(f.u) == m.cols
+    # M * U = H, column by column
+    for h_col, u_col in zip(f.h, f.u):
+        assert m.mul_vec(u_col) == h_col
+    # column echelon form at the recorded pivots
+    assert [c for _, c in f.pivots] == list(range(len(f.pivots)))
+    rows = [i for i, _ in f.pivots]
+    assert rows == sorted(set(rows))
+    for i, c in f.pivots:
+        assert f.h[c][i] != 0
+        assert not any(f.h[c][:i])
+        assert all(f.h[j][i] == 0 for j in range(c + 1, m.cols))
+    assert not any(any(col) for col in f.h[len(f.pivots):])
+    # one factorisation serves every right-hand side, in any order, exactly
+    # as a fresh solve does, and a planted right-hand side always solves
+    ent = st.integers(-6, 6)
+    ys = [
+        tuple(data.draw(ent) for _ in range(m.rows))
+        for _ in range(data.draw(st.integers(1, 5)))
+    ]
+    planted = [tuple(data.draw(ent) for _ in range(m.cols)) for _ in range(3)]
+    ys += [m.mul_vec(x0) for x0 in planted]
+    fresh = [z_solve_system(m, y) for y in ys]
+    assert [f.solve(y) for y in ys] == fresh
+    assert [f.solve(y) for y in reversed(ys)] == fresh[::-1]
+    for y, x in zip(ys[-len(planted):], fresh[-len(planted):]):
+        assert x is not None and m.mul_vec(x) == y
+
+
+def test_hnf_solve_rejects_wrong_length():
+    with pytest.raises(ShapeError):
+        hnf(IntMatrix.from_rows([[1, 2]])).solve((1, 2))
+
+
+def test_unbounded_phase1_raises_verification_error(monkeypatch):
+    monkeypatch.setattr(intlin, "Fraction", NeverPositive)
+    with pytest.raises(VerificationError, match="unbounded"):
+        cone_member_certificate([(1, 0), (0, 1)], (1, 1))
 
 
 def test_n_solve_bounded():

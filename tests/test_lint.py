@@ -76,3 +76,36 @@ def test_unreferenced_private_detects_and_ignores():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unreferenced_private_helpers(module):
     assert unreferenced_private((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def calls_of(source: str, name: str) -> int:
+    """Calls of `name`, as a bare name or as an attribute (`mod.name(...)`)."""
+    return sum(
+        isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name
+        )
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_calls_of_detects_names_and_attributes():
+    src = (
+        "from .intlin import z_solve_system\n"
+        "from . import intlin\n"
+        "a = z_solve_system(m, y)\n"
+        "b = intlin.z_solve_system(m, y)\n"
+        "c = hnf(m).solve(y)\n"
+    )
+    assert calls_of(src, "z_solve_system") == 2
+    assert calls_of(src, "solve") == 1
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "intlin.py")
+)
+def test_only_intlin_calls_the_one_shot_solver(module):
+    # Callers hold a factorisation (`intlin.hnf`) and solve each right-hand
+    # side against it; `z_solve_system` factors anew on every call.
+    assert calls_of((SRC / module).read_text(encoding="utf-8"), "z_solve_system") == 0

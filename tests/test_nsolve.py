@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
+from datalin import nsolve
+from datalin.intlin import HermiteForm
 from datalin.nsolve import (
     data_projection,
     n_solvable,
@@ -16,6 +18,7 @@ from conftest import (
     pair_generator,
     point_target,
     random_data_vector,
+    spy,
     triangle,
     edge_target,
 )
@@ -111,6 +114,18 @@ def test_n_solvable_direct_sum():
     inst = Instance(1, 1, (gen,), target)
     dec = n_solvable(inst)
     assert dec.status == "SOLVABLE"
+
+
+def test_n_solvable_factors_the_reversible_projections_once(monkeypatch):
+    factored = spy(monkeypatch, nsolve, "hnf")
+    solved = spy(monkeypatch, HermiteForm, "solve")
+    target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
+    dec = n_solvable(Instance(1, 1, (pair_generator(),), target))
+    assert dec.status == "SOLVABLE"
+    assert len(factored) == 1
+    # one solve per composition tried: 0, 1 and 2 copies of the generator
+    (matrix,) = factored[0]
+    assert sum(args[0].matrix is matrix for args in solved) == 3
 
 
 def test_n_solvable_single_renamed_copy():

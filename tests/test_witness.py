@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from datalin.calculus import CapExceeded
 from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
@@ -21,6 +22,7 @@ from conftest import (
     pair_generator,
     point_target,
     random_data_vector,
+    small_instances,
     triangle,
 )
 
@@ -161,3 +163,10 @@ def test_extractors_agree_with_decision_on_random_instances():
         else:
             assert w is None
         checked += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(max_generators=2))
+def test_z_solvable_iff_the_general_extractor_verifies(inst):
+    w = extract_witness_general(inst)
+    assert z_solvable(inst) == (w is not None and verify_witness(inst, w))

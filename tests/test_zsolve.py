@@ -1,9 +1,25 @@
 from hypothesis import given, settings, strategies as st
 
-from datalin.core import DataVector, Instance, dv_permute, encode_hypergraph, kset
+from datalin.core import (
+    DataVector,
+    Instance,
+    dv_permute,
+    dv_scale,
+    encode_hypergraph,
+    kset,
+)
+from datalin import zsolve
+from datalin.intlin import HermiteForm
 from datalin.zsolve import LocalFailure, layer_columns, local_check, z_solvable
 
-from conftest import edge_target, pair_generator, point_target, triangle
+from conftest import (
+    edge_target,
+    pair_generator,
+    point_target,
+    small_instances,
+    spy,
+    triangle,
+)
 
 
 def test_pair_generator_even_target_solvable(ex1):
@@ -33,6 +49,19 @@ def test_triangle_edge_three_fails_at_a_singleton(ex2_odd):
     # each endpoint of the weight-3 edge has odd vertex weight, while every
     # vertex weight of a triangle is even
     assert {f.target_weight for f in singles} == {(3,)}
+
+
+def test_local_check_factors_each_needed_layer_once(monkeypatch, ex2):
+    factored = spy(monkeypatch, zsolve, "hnf")
+    solved = spy(monkeypatch, HermiteForm, "solve")
+    local_check(ex2)
+    assert len(factored) == 3  # sizes 0, 1 and 2
+    assert len(solved) == 4  # subsets (), (0,), (1,) and (0, 1)
+    factored.clear()
+    # the empty set's weight is zero, so layer 0 has no right-hand side
+    balanced = DataVector(1, 1, {(0,): (1,), (1,): (-1,)})
+    local_check(Instance(1, 1, (pair_generator(),), balanced))
+    assert len(factored) == 1
 
 
 def test_layer_columns_dedup():
@@ -73,22 +102,6 @@ def test_failure_report_is_sorted(ex2_odd):
 # metamorphic: renaming, reordering and duplicating generators
 
 
-@st.composite
-def small_instances(draw):
-    k = draw(st.integers(min_value=1, max_value=2))
-    d = draw(st.integers(min_value=1, max_value=2))
-    keys = st.frozensets(st.integers(min_value=0, max_value=5), min_size=k, max_size=k)
-    vals = st.tuples(*([st.integers(min_value=-2, max_value=2)] * d))
-
-    def vec():
-        return st.dictionaries(keys, vals, max_size=4).map(
-            lambda e: DataVector(k, d, {kset(x): v for x, v in e.items()})
-        )
-
-    gens = draw(st.lists(vec(), min_size=1, max_size=3))
-    return Instance(k, d, tuple(gens), draw(vec()))
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_instances(), st.permutations(list(range(12))), st.randoms())
 def test_local_check_is_invariant_under_renaming_reordering_duplication(
@@ -116,3 +129,38 @@ def test_local_check_is_invariant_under_renaming_reordering_duplication(
     rnd.shuffle(gens)
     shuffled = Instance(inst.arity, inst.dim, tuple(gens), inst.target)
     assert local_check(shuffled) == report
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: scaling the target (Z side)
+
+
+def test_scaling_can_repair_a_failure(ex1_odd):
+    # 3 at one atom fails (odd total over an even generator), 6 does not:
+    # scaling may remove failures, so decisions are not scale-invariant
+    assert not z_solvable(ex1_odd)
+    doubled = Instance(1, 1, ex1_odd.generators, dv_scale(2, ex1_odd.target))
+    assert z_solvable(doubled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), st.integers(-4, 4).filter(bool))
+def test_scaled_target_fails_on_a_subset_of_the_failing_sets(inst, c):
+    # a layer weight in the generators' lattice stays there when scaled, and
+    # scaling by c != 0 keeps exactly the same nonzero subsets
+    def scaled(factor):
+        return local_check(
+            Instance(
+                inst.arity, inst.dim, inst.generators,
+                dv_scale(factor, inst.target),
+            )
+        )
+
+    report = local_check(inst)
+    failing = {f.subset for f in report.failures}
+    assert {f.subset for f in scaled(c).failures} <= failing
+    negated = scaled(-1)
+    assert negated.decision == report.decision
+    assert [(f.subset, f.num_columns) for f in negated.failures] == [
+        (f.subset, f.num_columns) for f in report.failures
+    ]
