@@ -13,6 +13,7 @@ from .core import (
     Instance,
     ShapeError,
     dv_add,
+    dv_combine,
     dv_permute,
     dv_scale,
     dv_sub,

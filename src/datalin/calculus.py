@@ -31,9 +31,7 @@ from .core import (
     IntVector,
     KSet,
     ShapeError,
-    dv_add,
-    dv_permute,
-    dv_scale,
+    dv_combine,
     encode_hypergraph,
     kset,
     nonzero_weight_sets,
@@ -229,10 +227,9 @@ Terms = list[tuple[int, dict[Atom, Atom]]]
 
 
 def eval_terms(source: DataVector, terms: Terms) -> DataVector:
-    out = DataVector(source.arity, source.dim, {})
-    for c, ren in terms:
-        out = dv_add(out, dv_scale(c, dv_permute(source, ren)))
-    return out
+    return dv_combine(
+        source.arity, source.dim, ((c, source, ren) for c, ren in terms)
+    )
 
 
 def merge_terms(terms: Terms) -> Terms:
@@ -476,7 +473,7 @@ def _simple_with_value(
         raise SpanError(
             f"value {a} outside the integer span of size-{m} family weights"
         )
-    total = DataVector(arity, dim, {})
+    placed = []
     fam_terms: FamilyTerms = []
     for (gi, xs), coeff in zip(reps.values(), sol):
         if not coeff:
@@ -488,11 +485,11 @@ def _simple_with_value(
         tau = dict(zip(s_spec.A, A))
         tau.update(zip(s_spec.B, B))
         tau.update(zip(sorted(s_spec.C), sorted(C)))
-        placed = dv_permute(s_hg.as_data_vector(), tau)
-        total = dv_add(total, dv_scale(coeff, placed))
+        placed.append((coeff, s_hg.as_data_vector(), tau))
         for c, ren in s_terms:
             fam_terms.append((coeff * c, gi, _compose(tau, ren)))
     ctx.check_terms(fam_terms)
+    total = dv_combine(arity, dim, placed)
     hg = Hypergraph(set(A) | set(B) | set(C), arity, dim, dict(total.entries))
     spec = SimpleSpec(m, a, A, B, C)
     if not verify_simple(hg, spec):
@@ -503,6 +500,20 @@ def _simple_with_value(
 def _dominates(x: KSet, y: KSet) -> bool:
     """y is at least x under the componentwise order of sorted tuples."""
     return all(a <= b for a, b in zip(x, y))
+
+
+def _maximal_sets(fam: Sequence[KSet]) -> list[KSet]:
+    """The members of a lexicographically sorted family of equal-size sets
+    that no other member dominates, in family order.  A dominator of x is
+    lexicographically larger and domination is transitive, so one walk from
+    the largest member down, testing each against the members kept so far,
+    finds them."""
+    kept: list[KSet] = []
+    for x in reversed(fam):
+        if not any(_dominates(x, y) for y in kept):
+            kept.append(x)
+    kept.reverse()
+    return kept
 
 
 def _greedy_below(l_set: KSet, pool) -> Optional[tuple[Atom, ...]]:
@@ -540,21 +551,22 @@ def _express_via_simple(
     if len(verts) <= 2 * k - 1:
         raise ShapeError("working vertex set too small")
     family_hs = [encode_hypergraph(g) for g in family]
+    zero = zero_vec(d)
     entries = []
     residual = h
     for level in range(k + 1):
         layer = None  # built when the level first needs a simple graph
+        # The residual's nonzero size-`level` weights, read once and then
+        # kept current by subtracting each placed graph's weights (weights
+        # are additive); the residual itself is rebuilt once per level.
+        res_h = Hypergraph(frozenset(verts), k, d, dict(residual.entries))
+        weights = {x: weight(res_h, x) for x in nonzero_weight_sets(res_h, level)}
+        residual_terms = [(1, residual, {})]
         while True:
             ctx.tick()
-            res_h = Hypergraph(frozenset(verts), k, d, dict(residual.entries))
-            fam = nonzero_weight_sets(res_h, level)
-            if not fam:
+            if not weights:
                 break
-            maximal = [
-                x
-                for x in fam
-                if not any(y != x and _dominates(x, y) for y in fam)
-            ]
+            maximal = _maximal_sets(sorted(weights))
             maximal.sort(key=lambda t: tuple(reversed(t)), reverse=True)
             chosen = None
             for l_set in maximal:
@@ -571,14 +583,21 @@ def _express_via_simple(
             c_block = tuple(c_pool[: max(0, 2 * (k - level) - 1)])
             if len(c_block) < max(0, 2 * (k - level) - 1):
                 raise CalculusError("not enough vertices for the free block")
-            a = weight(res_h, l_set)
+            a = weights[l_set]
             if layer is None:
                 layer = _family_layer(family_hs, level, d)
             s_hg, s_spec, s_terms = _simple_with_value(
                 family_hs, layer, a, l_set, below, c_block, k, d, ctx
             )
             entries.append((s_hg, s_spec, s_terms))
-            residual = dv_add(residual, dv_scale(-1, s_hg.as_data_vector()))
+            residual_terms.append((-1, s_hg.as_data_vector(), {}))
+            for x in nonzero_weight_sets(s_hg, level):
+                w = vec_add(weights.get(x, zero), vec_scale(-1, weight(s_hg, x)))
+                if any(w):
+                    weights[x] = w
+                else:
+                    del weights[x]
+        residual = dv_combine(k, d, residual_terms)
     if residual.entries:
         raise CalculusError("decomposition left a nonzero residual")
     return entries

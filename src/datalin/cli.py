@@ -28,9 +28,7 @@ from .core import (
     Instance,
     ShapeError,
     VerificationError,
-    dv_add,
-    dv_permute,
-    dv_scale,
+    dv_combine,
 )
 from .nsolve import n_solvable
 from .oracle import OracleConfig, OracleGuardError, brute_force
@@ -409,16 +407,15 @@ def cmd_gen(args) -> int:
         },
         table,
     )
-    target = DataVector(args.arity, args.dim, {})
+    copies = []
     for _ in range(rng.randint(1, 3)):
         g = inst.generators[rng.randrange(len(inst.generators))]
         sup = sorted(g.support())
         pool = list(range(args.atoms))
         image = rng.sample(pool, len(sup))
         coeff = rng.choice([-2, -1, 1, 2])
-        target = dv_add(
-            target, dv_scale(coeff, dv_permute(g, dict(zip(sup, image))))
-        )
+        copies.append((coeff, g, dict(zip(sup, image))))
+    target = dv_combine(args.arity, args.dim, copies)
     doc = {
         "arity": args.arity,
         "dimension": args.dim,

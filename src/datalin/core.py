@@ -12,6 +12,11 @@ on first use by adding each hyperedge's value into each of its 2^k subsets:
 it costs entries * 2^k additions and stores only the nonzero weights.
 `weight` and `nonzero_weight_sets` read that table, so a hypergraph's `mu`
 must not be mutated after construction.
+
+Sums of renamed, scaled copies go through `dv_combine`, which adds every
+term's renamed values into one dict and canonicalises the result once:
+entries * terms additions, where folding `dv_add` over the terms would copy
+and re-validate the growing accumulator at every step.
 """
 
 from __future__ import annotations
@@ -152,6 +157,34 @@ def dv_permute(a: DataVector, pi: Mapping[Atom, Atom]) -> DataVector:
     return DataVector(
         a.arity, a.dim, {_apply_renaming(pi, k): v for k, v in a.entries.items()}
     )
+
+
+def dv_combine(
+    arity: int,
+    dim: int,
+    terms: Iterable[tuple[int, DataVector, Mapping[Atom, Atom]]],
+) -> DataVector:
+    """Sum of c * dv_permute(a, pi) over the terms (c, a, pi), in one pass.
+
+    Each term is shape-checked and its renaming checked injective on a's
+    support (the ShapeErrors of `dv_add` and `dv_permute`); the renamed,
+    scaled values are added into one dict, which is canonicalised once."""
+    acc: dict[KSet, IntVector] = {}
+    for c, a, pi in terms:
+        if a.arity != arity or a.dim != dim:
+            raise ShapeError(f"shape mismatch: ({arity},{dim}) vs ({a.arity},{a.dim})")
+        if pi:
+            check_injective_on(pi, a.support())
+        if c == 0:
+            continue
+        for key, val in a.entries.items():
+            if pi:
+                key = tuple(sorted(pi.get(x, x) for x in key))
+            if c != 1:
+                val = vec_scale(c, val)
+            cur = acc.get(key)
+            acc[key] = val if cur is None else vec_add(cur, val)
+    return DataVector(arity, dim, acc)
 
 
 @dataclass(frozen=True)

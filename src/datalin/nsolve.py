@@ -22,9 +22,8 @@ from .core import (
     FreshAtoms,
     Instance,
     IntVector,
-    dv_add,
+    dv_combine,
     dv_permute,
-    dv_scale,
     vec_add,
     zero_vec,
 )
@@ -73,16 +72,20 @@ def smooth(a: DataVector, support, max_support: int = 8) -> DataVector:
         raise ValueError(
             f"support of size {len(sup)} exceeds the {max_support}! guard"
         )
-    out = DataVector(a.arity, a.dim, {})
-    for image in itertools.permutations(sup):
-        out = dv_add(out, dv_permute(a, dict(zip(sup, image))))
-    return out
+    return dv_combine(
+        a.arity,
+        a.dim,
+        ((1, a, dict(zip(sup, image))) for image in itertools.permutations(sup)),
+    )
 
 
 def reversible_partition(inst: Instance) -> ReversibilityPartition:
     """A generator is reversible iff the negation of its projection lies in
     the rational nonnegative cone of all generator projections."""
-    projections = [data_projection(g) for g in inst.generators]
+    return _partition([data_projection(g) for g in inst.generators])
+
+
+def _partition(projections: list[IntVector]) -> ReversibilityPartition:
     rev, nonrev = [], []
     for i, p in enumerate(projections):
         neg = tuple(-x for x in p)
@@ -95,10 +98,15 @@ def nonreversible_bound(
 ) -> NBoundData:
     """Exact multiplicity bound for the nonreversible part and the derived
     support-size bound."""
+    return _bound(inst, part, [data_projection(g) for g in inst.generators])
+
+
+def _bound(
+    inst: Instance, part: ReversibilityPartition, projections: list[IntVector]
+) -> NBoundData:
     supp_size = len(inst.target.support())
     if not part.nonreversible:
         return NBoundData(0, 0, supp_size)
-    projections = [data_projection(g) for g in inst.generators]
     distinct_nonrev = {projections[i] for i in part.nonreversible}
     col_norm = max((one_norm(p) for p in projections), default=0)
     base = col_norm + inf_norm(data_projection(inst.target)) + 2
@@ -156,22 +164,23 @@ def n_solvable(
     generators only.  Exhausted enumeration within the caps is a certificate
     of UNSOLVABLE; truncation reports INCONCLUSIVE.
     """
-    part = reversible_partition(inst)
-    bounds = nonreversible_bound(inst, part)
+    gens = inst.generators
+    projections = [data_projection(g) for g in gens]
+    part = _partition(projections)
+    bounds = _bound(inst, part, projections)
     if not z_solvable(inst):
         return NDecision("UNSOLVABLE", bounds)
 
     if bounds.coeff_bound > coeff_cap:
         return NDecision("INCONCLUSIVE", bounds)
 
-    gens = inst.generators
     rev_gens = tuple(gens[i] for i in part.reversible)
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
     d = inst.dim
     # factored once: every composition solves against the same matrix
     rev_proj = hnf(
-        IntMatrix.from_columns([data_projection(g) for g in rev_gens], nrows=d)
+        IntMatrix.from_columns([projections[i] for i in part.reversible], nrows=d)
     )
 
     total_cap = bounds.coeff_bound
@@ -190,11 +199,11 @@ def n_solvable(
         """DFS over canonical placements of the remaining copies; returns a
         finished NDecision on success, None otherwise."""
         if idx == len(copies):
-            residual = inst.target
-            for vec in acc:
-                residual = dv_add(residual, dv_scale(-1, vec))
             if not budget.spend():
                 return None
+            residual = dv_combine(
+                inst.arity, d, [(1, inst.target, {}), *((-1, vec, {}) for vec in acc)]
+            )
             report = residual_ok(residual)
             if report is not None:
                 return NDecision(
@@ -235,8 +244,7 @@ def n_solvable(
             # projection necessary condition for the residual
             needed = list(target_proj)
             for c, i in zip(counts, nonrev):
-                p = data_projection(gens[i])
-                needed = [x - c * y for x, y in zip(needed, p)]
+                needed = [x - c * y for x, y in zip(needed, projections[i])]
             if rev_proj.solve(needed) is None:
                 continue
             copies = [

@@ -19,9 +19,8 @@ from .core import (
     DataVector,
     FreshAtoms,
     Instance,
-    dv_add,
+    dv_combine,
     dv_permute,
-    dv_scale,
 )
 from .zsolve import local_check
 
@@ -57,15 +56,13 @@ def make_witness(raw: Iterable[tuple[int, int, Mapping[Atom, Atom]]]) -> Witness
 
 
 def evaluate_witness(inst: Instance, w: Witness) -> DataVector:
-    out = DataVector(inst.arity, inst.dim, {})
-    for term in w.terms:
-        if not 0 <= term.generator < len(inst.generators):
-            raise IndexError(f"generator index {term.generator} out of range")
-        gen = inst.generators[term.generator]
-        out = dv_add(
-            out, dv_scale(term.coeff, dv_permute(gen, term.renaming_map()))
-        )
-    return out
+    def copies():
+        for term in w.terms:
+            if not 0 <= term.generator < len(inst.generators):
+                raise IndexError(f"generator index {term.generator} out of range")
+            yield term.coeff, inst.generators[term.generator], term.renaming_map()
+
+    return dv_combine(inst.arity, inst.dim, copies())
 
 
 def verify_witness(inst: Instance, w: Witness, mode: str = "Z") -> bool:

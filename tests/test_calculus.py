@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,3 +307,39 @@ def test_decomposition_factors_each_level_once(monkeypatch):
     levels = [args[1].size for args in placed]
     assert len(levels) > 3
     assert len(factored) == len(set(levels)) == 3
+
+
+def test_decomposition_reads_residual_weights_once_per_level(monkeypatch):
+    verts = frozenset(range(7))
+    builds = []
+    table = Hypergraph._weight_table
+
+    def counted(h):
+        if h.vertices == verts:  # the residual; placed graphs have 3 vertices
+            builds.append(h)
+        return table.func(h)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Hypergraph, "_weight_table")
+    monkeypatch.setattr(Hypergraph, "_weight_table", prop)
+    placed = spy(monkeypatch, calculus, "_simple_with_value")
+    target = dv_add(triangle(0, 1, 2, 2), triangle(2, 3, 4, -1))
+    pieces = express_via_simple(target, [triangle(0, 1, 2)], tuple(verts))
+    assert len(placed) == len(pieces) > 3
+    assert 0 < len(builds) <= target.arity + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_maximal_sets_match_the_quadratic_definition(data):
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    ksets = st.frozensets(
+        st.integers(min_value=0, max_value=7), min_size=k, max_size=k
+    ).map(lambda x: tuple(sorted(x)))
+    fam = sorted(data.draw(st.sets(ksets, max_size=25)))
+
+    def dominates(x, y):
+        return all(a <= b for a, b in zip(x, y))
+
+    expected = [x for x in fam if not any(y != x and dominates(x, y) for y in fam)]
+    assert calculus._maximal_sets(fam) == expected

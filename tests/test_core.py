@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from datalin.core import (
     DataVector,
@@ -10,6 +10,7 @@ from datalin.core import (
     Instance,
     ShapeError,
     dv_add,
+    dv_combine,
     dv_permute,
     dv_scale,
     dv_sub,
@@ -88,6 +89,63 @@ def test_permute_requires_injectivity_on_support():
     # collapsing atoms outside the support is fine
     out = dv_permute(v, {0: 2, 7: 9, 8: 9})
     assert out.support() == frozenset({1, 2})
+
+
+def fold_copies(arity, dim, terms):
+    """The reference sum: one dv_add per renamed, scaled copy."""
+    acc = DataVector(arity, dim, {})
+    for c, a, pi in terms:
+        acc = dv_add(acc, dv_scale(c, dv_permute(a, pi)))
+    return acc
+
+
+@st.composite
+def copy_terms(draw):
+    """Arity 1-3, dimension 1-2, and up to five (coefficient, vector,
+    renaming) terms; each renaming is empty or injective on atoms 0..6."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=2))
+    renamings = st.one_of(
+        st.just({}),
+        st.lists(
+            st.integers(min_value=0, max_value=12), min_size=7, max_size=7, unique=True
+        ).map(lambda images: dict(enumerate(images))),
+    )
+    term = st.tuples(st.integers(min_value=-3, max_value=3), small_vec(k, d), renamings)
+    return k, d, draw(st.lists(term, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(copy_terms())
+def test_combine_equals_the_dv_add_fold(case):
+    k, d, terms = case
+    assert dv_combine(k, d, terms) == fold_copies(k, d, terms)
+    # every copy cancelled by its negation: the empty vector
+    negated = [(-c, a, pi) for c, a, pi in terms]
+    assert dv_combine(k, d, terms + negated).entries == {}
+
+
+def test_combine_cancels_and_renames():
+    tri = triangle(0, 1, 2)
+    moved = {0: 3, 1: 4, 2: 5}
+    assert dv_combine(2, 1, [(2, tri, {}), (-2, tri, {}), (0, tri, moved)]).is_zero()
+    out = dv_combine(2, 1, [(1, tri, {}), (-1, tri, {2: 3})])
+    assert out.entries == {(0, 2): (1,), (1, 2): (1,), (0, 3): (-1,), (1, 3): (-1,)}
+    assert dv_combine(1, 2, []) == DataVector(1, 2, {})
+
+
+def test_combine_shape_errors():
+    v = pair_generator()
+    with pytest.raises(ShapeError):
+        dv_combine(1, 1, [(1, v, {}), (1, v, {0: 5, 1: 5})])
+    with pytest.raises(ShapeError):  # as dv_permute: checked even at c = 0
+        dv_combine(1, 1, [(0, v, {0: 1})])
+    with pytest.raises(ShapeError):
+        dv_combine(2, 1, [(1, v, {})])
+    with pytest.raises(ShapeError):
+        dv_combine(1, 2, [(1, v, {})])
+    with pytest.raises(ShapeError):
+        dv_combine(1, 1, [(1, v, {}), (1, DataVector(1, 2, {(0,): (1, 1)}), {})])
 
 
 def test_weight_sums_over_superset_edges():

@@ -109,3 +109,54 @@ def test_only_intlin_calls_the_one_shot_solver(module):
     # Callers hold a factorisation (`intlin.hnf`) and solve each right-hand
     # side against it; `z_solve_system` factors anew on every call.
     assert calls_of((SRC / module).read_text(encoding="utf-8"), "z_solve_system") == 0
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def looped_calls(source: str, names: set[str]) -> list[int]:
+    """Lines of calls of `names` (bare or as attributes) inside a loop body
+    or a comprehension, where each call would re-copy an accumulator."""
+    lines: list[int] = []
+
+    def visit(node: ast.AST, looped: bool) -> None:
+        if looped and isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in names:
+                lines.append(node.lineno)
+        for field, value in ast.iter_fields(node):
+            inner = looped or isinstance(node, _COMPREHENSIONS) or (
+                isinstance(node, _LOOPS) and field in ("body", "orelse", "test")
+            )
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, inner)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_looped_calls_detects_loops_and_comprehensions():
+    src = (
+        "acc = dv_add(a, b)\n"
+        "for x in dv_add(a, b).entries:\n"
+        "    acc = dv_add(acc, x)\n"
+        "while acc:\n"
+        "    acc = core.dv_sub(acc, x)\n"
+        "ys = [dv_add(y, y) for y in xs]\n"
+        "def f(xs):\n"
+        "    return sum(dv_add(x, x) for x in xs)\n"
+        "z = dv_combine(1, 1, ((1, x, {}) for x in xs))\n"
+    )
+    assert looped_calls(src, {"dv_add", "dv_sub"}) == [3, 5, 6, 8]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dv_add_fold_in_a_loop(module):
+    # A fold of dv_add copies and re-validates the whole accumulator per
+    # term, quadratic in the number of terms; core.dv_combine sums any
+    # number of renamed, scaled copies in one pass.
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert looped_calls(source, {"dv_add", "dv_sub"}) == []

@@ -141,3 +141,12 @@ def test_n_inconclusive_when_capped(ex2):
     inst = Instance(1, 1, (gen,), target)
     dec = n_solvable(inst, coeff_cap=0, guess_cap=10)
     assert dec.status in {"SOLVABLE", "INCONCLUSIVE"}
+
+
+def test_n_solvable_projects_each_generator_once(monkeypatch):
+    projected = spy(monkeypatch, nsolve, "data_projection")
+    gen = pair_generator()
+    target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
+    assert n_solvable(Instance(1, 1, (gen,), target)).status == "SOLVABLE"
+    # the partition, the bound and every composition share one projection
+    assert sum(args[0] is gen for args in projected) == 1
