@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     Atom,
@@ -40,8 +40,8 @@ from .core import (
     weight,
     zero_vec,
 )
-from .intlin import HermiteForm, IntMatrix, hnf, rank_full
-from .zsolve import layer_weights
+from .intlin import IntMatrix, rank_full
+from .zsolve import GeneratorLayers
 
 
 class CalculusError(Exception):
@@ -438,36 +438,21 @@ def construct_simple(g: Hypergraph, x):
 FamilyTerms = list[tuple[int, int, dict[Atom, Atom]]]
 
 
-class _FamilyLayer(NamedTuple):
-    """A family's deduplicated nonzero size-`size` weights (`layer_weights`)
-    and the factorisation of the matrix whose columns they are."""
-
-    size: int
-    reps: dict[IntVector, tuple[int, KSet]]
-    factor: HermiteForm
-
-
-def _family_layer(family: Sequence[Hypergraph], m: int, dim: int) -> _FamilyLayer:
-    reps = layer_weights(family, m)
-    matrix = IntMatrix.from_columns(list(reps), nrows=dim)
-    return _FamilyLayer(m, reps, hnf(matrix))
-
-
 def _simple_with_value(
-    family: Sequence[Hypergraph],
-    layer: _FamilyLayer,
+    layers: GeneratorLayers,
+    m: int,
     a: IntVector,
     A: tuple[Atom, ...],
     B: tuple[Atom, ...],
     C: tuple[Atom, ...],
     arity: int,
-    dim: int,
     ctx: _Ctx,
 ):
-    """(m,a)-simple k-hypergraph at the given placement, with m the layer's
-    size, built as an integer combination of canonical simple graphs of the
-    family members, together with family witness terms."""
-    m, reps = layer.size, layer.reps
+    """(m,a)-simple k-hypergraph at the given placement, built as an
+    integer combination of canonical simple graphs of the family members
+    (the owner's size-m layer), together with family witness terms."""
+    family, dim = layers.hypergraphs, layers.dim
+    layer = layers.layer(m)
     sol = layer.factor.solve(a)
     if sol is None:
         raise SpanError(
@@ -475,7 +460,7 @@ def _simple_with_value(
         )
     placed = []
     fam_terms: FamilyTerms = []
-    for (gi, xs), coeff in zip(reps.values(), sol):
+    for (gi, xs), coeff in zip(layer.reps.values(), sol):
         if not coeff:
             continue
         key = (family[gi], xs)
@@ -550,12 +535,11 @@ def _express_via_simple(
         raise ShapeError("working vertex set must cover the support")
     if len(verts) <= 2 * k - 1:
         raise ShapeError("working vertex set too small")
-    family_hs = [encode_hypergraph(g) for g in family]
+    layers = GeneratorLayers(family, d)
     zero = zero_vec(d)
     entries = []
     residual = h
     for level in range(k + 1):
-        layer = None  # built when the level first needs a simple graph
         # The residual's nonzero size-`level` weights, read once and then
         # kept current by subtracting each placed graph's weights (weights
         # are additive); the residual itself is rebuilt once per level.
@@ -583,11 +567,8 @@ def _express_via_simple(
             c_block = tuple(c_pool[: max(0, 2 * (k - level) - 1)])
             if len(c_block) < max(0, 2 * (k - level) - 1):
                 raise CalculusError("not enough vertices for the free block")
-            a = weights[l_set]
-            if layer is None:
-                layer = _family_layer(family_hs, level, d)
             s_hg, s_spec, s_terms = _simple_with_value(
-                family_hs, layer, a, l_set, below, c_block, k, d, ctx
+                layers, level, weights[l_set], l_set, below, c_block, k, ctx
             )
             entries.append((s_hg, s_spec, s_terms))
             residual_terms.append((-1, s_hg.as_data_vector(), {}))

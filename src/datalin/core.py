@@ -202,13 +202,16 @@ class Hypergraph:
     def __post_init__(self) -> None:
         dv = DataVector(self.arity, self.dim, self.mu)  # canonicalize + validate
         object.__setattr__(self, "mu", dv.entries)
+        object.__setattr__(self, "_data_vector", dv)
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         for key in self.mu:
             if not set(key) <= self.vertices:
                 raise ShapeError(f"hyperedge {key} not within vertex set")
 
     def as_data_vector(self) -> DataVector:
-        return DataVector(self.arity, self.dim, self.mu)
+        """The validated vector `mu` was canonicalised through; it shares
+        `mu`'s dict, and both are immutable."""
+        return self._data_vector
 
     def nonisolated(self) -> frozenset[Atom]:
         return frozenset(a for key in self.mu for a in key)

@@ -23,12 +23,11 @@ from .core import (
     Instance,
     IntVector,
     dv_combine,
-    dv_permute,
     vec_add,
     zero_vec,
 )
-from .intlin import IntMatrix, cone_member, hnf, inf_norm, one_norm
-from .zsolve import LocalReport, local_check, z_solvable
+from .intlin import cone_member, inf_norm, one_norm
+from .zsolve import GeneratorLayers, LocalReport, z_solvable
 
 
 @dataclass(frozen=True)
@@ -136,20 +135,6 @@ def _copy_placements(sup, known_pool, next_fresh, fresh_budget):
                 yield tuple(image), r
 
 
-class _Budget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-        self.truncated = False
-
-    def spend(self) -> bool:
-        self.used += 1
-        if self.used > self.cap:
-            self.truncated = True
-            return False
-        return True
-
-
 def n_solvable(
     inst: Instance,
     coeff_cap: int = 10_000,
@@ -174,89 +159,59 @@ def n_solvable(
     if bounds.coeff_bound > coeff_cap:
         return NDecision("INCONCLUSIVE", bounds)
 
-    rev_gens = tuple(gens[i] for i in part.reversible)
+    # Every guess's residual is checked against the reversible generators'
+    # layers, each factored once per call.  Layer 0 holds their nonzero
+    # projections (the weight of the empty set is a vector's projection),
+    # which span the same lattice as all of them.
+    rev = GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
-    d = inst.dim
-    # factored once: every composition solves against the same matrix
-    rev_proj = hnf(
-        IntMatrix.from_columns([projections[i] for i in part.reversible], nrows=d)
-    )
-
     total_cap = bounds.coeff_bound
-    budget = _Budget(guess_cap)
-
-    def residual_ok(residual: DataVector):
-        sub = Instance(inst.arity, d, rev_gens, residual)
-        report = local_check(sub)
-        return report if report.decision else None
-
     supp = sorted(inst.target.support())
     fresh = FreshAtoms(inst.all_atoms())
     fresh_base = fresh.take()  # first canonical fresh atom id
 
-    def place_copies(copies, idx, known_fresh, acc, terms):
-        """DFS over canonical placements of the remaining copies; returns a
-        finished NDecision on success, None otherwise."""
-        if idx == len(copies):
-            if not budget.spend():
-                return None
-            residual = dv_combine(
-                inst.arity, d, [(1, inst.target, {}), *((-1, vec, {}) for vec in acc)]
-            )
-            report = residual_ok(residual)
-            if report is not None:
-                return NDecision(
-                    "SOLVABLE",
-                    bounds,
-                    tuple(
-                        (gi, tuple(sorted(ren.items()))) for gi, ren in terms
-                    ),
-                    report,
-                )
-            return None
-        gi = copies[idx]
+    def placements(copies, known_fresh, terms):
+        """Canonical placements of the remaining copies, depth first; yields
+        each full guess as a list of (generator index, renaming)."""
+        if not copies:
+            yield terms
+            return
+        gi = copies[0]
         sup = sorted(gens[gi].support())
         pool = supp + [fresh_base + j for j in range(known_fresh)]
         fresh_budget = bounds.s_max * total_cap - known_fresh
         for image, used in _copy_placements(
             sup, pool, fresh_base + known_fresh, fresh_budget
         ):
-            if budget.truncated:
-                return None
-            ren = dict(zip(sup, image))
-            vec = dv_permute(gens[gi], ren)
-            out = place_copies(
-                copies,
-                idx + 1,
-                known_fresh + used,
-                acc + [vec],
-                terms + [(gi, ren)],
+            yield from placements(
+                copies[1:], known_fresh + used, terms + [(gi, dict(zip(sup, image)))]
             )
-            if out is not None:
-                return out
-        return None
 
-    for total in range(0, total_cap + 1):
-        for counts in _compositions(total, len(nonrev)):
-            if budget.truncated:
-                break
-            # projection necessary condition for the residual
-            needed = list(target_proj)
-            for c, i in zip(counts, nonrev):
-                needed = [x - c * y for x, y in zip(needed, projections[i])]
-            if rev_proj.solve(needed) is None:
-                continue
-            copies = [
-                i for c, i in zip(counts, nonrev) for _ in range(c)
-            ]
-            out = place_copies(copies, 0, 0, [], [])
-            if out is not None:
-                return out
-        if budget.truncated:
-            break
-    if budget.truncated:
-        return NDecision("INCONCLUSIVE", bounds)
+    def guesses():
+        for total in range(0, total_cap + 1):
+            for counts in _compositions(total, len(nonrev)):
+                # projection necessary condition for the residual
+                needed = list(target_proj)
+                for c, i in zip(counts, nonrev):
+                    needed = [x - c * y for x, y in zip(needed, projections[i])]
+                if rev.layer(0).factor.solve(needed) is None:
+                    continue
+                copies = [i for c, i in zip(counts, nonrev) for _ in range(c)]
+                yield from placements(copies, 0, [])
+
+    for tried, terms in enumerate(guesses(), start=1):
+        if tried > guess_cap:
+            return NDecision("INCONCLUSIVE", bounds)
+        residual = dv_combine(
+            inst.arity,
+            inst.dim,
+            [(1, inst.target, {}), *((-1, gens[gi], ren) for gi, ren in terms)],
+        )
+        report = rev.check(residual)
+        if report.decision:
+            guess = tuple((gi, tuple(sorted(ren.items()))) for gi, ren in terms)
+            return NDecision("SOLVABLE", bounds, guess, report)
     return NDecision("UNSOLVABLE", bounds)
 
 

@@ -6,14 +6,20 @@ empty set) the weight of X is an integer combination of the generators'
 weights of sets of the same cardinality.  Each layer is one classical integer
 linear system: its matrix (the generators' deduplicated weights) is
 factored once and every target subset of that size is one right-hand side.
+
+`GeneratorLayers` owns a generator family's layers: it encodes the
+generators once and builds and factors each layer on first use, so any
+number of targets (`check`) and decomposition steps share them.  It keeps
+nothing on its input vectors and lives as long as its caller holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
+    DataVector,
     Hypergraph,
     Instance,
     IntVector,
@@ -22,7 +28,7 @@ from .core import (
     nonzero_weight_sets,
     weight,
 )
-from .intlin import IntMatrix, hnf
+from .intlin import HermiteForm, IntMatrix, hnf
 
 
 @dataclass(frozen=True)
@@ -59,25 +65,53 @@ def layer_columns(generators: Sequence[Hypergraph], size: int) -> list[IntVector
     return list(layer_weights(generators, size))
 
 
+class Layer(NamedTuple):
+    """A family's deduplicated nonzero weights of one subset size
+    (`layer_weights`) and the factorisation of the matrix whose columns
+    they are."""
+
+    reps: dict[IntVector, tuple[int, KSet]]
+    factor: HermiteForm
+
+
+class GeneratorLayers:
+    """The layers of one generator family of dimension `dim`, each built
+    and factored once, on first use."""
+
+    def __init__(self, generators: Sequence[DataVector], dim: int):
+        self.hypergraphs = tuple(encode_hypergraph(g) for g in generators)
+        self.dim = dim
+        self._layers: dict[int, Layer] = {}
+
+    def layer(self, size: int) -> Layer:
+        layer = self._layers.get(size)
+        if layer is None:
+            reps = layer_weights(self.hypergraphs, size)
+            factor = hnf(IntMatrix.from_columns(list(reps), nrows=self.dim))
+            layer = self._layers[size] = Layer(reps, factor)
+        return layer
+
+    def check(self, target: DataVector) -> LocalReport:
+        """Check every layer of the local criterion for `target` and report
+        all failing subsets, sorted by (size, lexicographic subset).  Only
+        the layers where the target has a nonzero subset are built."""
+        target_h = encode_hypergraph(target)
+        failures: list[LocalFailure] = []
+        for size in range(0, target.arity + 1):
+            subsets = nonzero_weight_sets(target_h, size)
+            if not subsets:
+                continue
+            layer = self.layer(size)
+            for x in subsets:
+                w = weight(target_h, x)
+                if layer.factor.solve(w) is None:
+                    failures.append(LocalFailure(x, w, len(layer.reps)))
+        return LocalReport(decision=not failures, failures=tuple(failures))
+
+
 def local_check(inst: Instance) -> LocalReport:
-    """Check every layer of the local criterion and report all failing
-    subsets, sorted by (size, lexicographic subset).  A layer's matrix is
-    factored once, and only when the target has a nonzero subset of that
-    size."""
-    target_h = encode_hypergraph(inst.target)
-    gen_hs = tuple(encode_hypergraph(g) for g in inst.generators)
-    failures: list[LocalFailure] = []
-    for size in range(0, inst.arity + 1):
-        subsets = nonzero_weight_sets(target_h, size)
-        if not subsets:
-            continue
-        cols = layer_columns(gen_hs, size)
-        layer = hnf(IntMatrix.from_columns(cols, nrows=inst.dim))
-        for x in subsets:
-            w = weight(target_h, x)
-            if layer.solve(w) is None:
-                failures.append(LocalFailure(x, w, len(cols)))
-    return LocalReport(decision=not failures, failures=tuple(failures))
+    """The local criterion for one instance (`GeneratorLayers.check`)."""
+    return GeneratorLayers(inst.generators, inst.dim).check(inst.target)
 
 
 def z_solvable(inst: Instance) -> bool:

@@ -111,6 +111,17 @@ def test_only_intlin_calls_the_one_shot_solver(module):
     assert calls_of((SRC / module).read_text(encoding="utf-8"), "z_solve_system") == 0
 
 
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name not in {"intlin.py", "zsolve.py"}),
+)
+def test_only_zsolve_factors_layers(module):
+    # `zsolve.GeneratorLayers` owns every layer's factorisation, so a
+    # generator family's layers are factored once however many targets
+    # are checked against them.
+    assert calls_of((SRC / module).read_text(encoding="utf-8"), "hnf") == 0
+
+
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 

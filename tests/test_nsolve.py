@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
-from datalin import nsolve
+from datalin import nsolve, zsolve
 from datalin.intlin import HermiteForm
+from datalin.zsolve import GeneratorLayers, local_check
 from datalin.nsolve import (
     data_projection,
     n_solvable,
@@ -117,15 +118,45 @@ def test_n_solvable_direct_sum():
 
 
 def test_n_solvable_factors_the_reversible_projections_once(monkeypatch):
-    factored = spy(monkeypatch, nsolve, "hnf")
+    owners = []
+
+    def owner(*args):
+        owners.append(GeneratorLayers(*args))
+        return owners[-1]
+
+    monkeypatch.setattr(nsolve, "GeneratorLayers", owner)
+    factored = spy(monkeypatch, zsolve, "hnf")
     solved = spy(monkeypatch, HermiteForm, "solve")
     target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
     dec = n_solvable(Instance(1, 1, (pair_generator(),), target))
     assert dec.status == "SOLVABLE"
-    assert len(factored) == 1
+    # the reversible generators' layer 0 holds their projections
+    (rev,) = owners
+    matrix = rev.layer(0).factor.matrix
+    assert sum(args[0] is matrix for args in factored) == 1
     # one solve per composition tried: 0, 1 and 2 copies of the generator
-    (matrix,) = factored[0]
     assert sum(args[0].matrix is matrix for args in solved) == 3
+
+
+def test_n_solvable_factors_each_reversible_layer_at_most_once(monkeypatch):
+    # P is nonreversible, R and its negation are reversible; the one copy of
+    # P is placed on (0, 1), (0, 2) and (1, 0) before (1, 2) leaves a
+    # residual in the span of R and -R.
+    p = DataVector(1, 2, {(0,): (1, 0), (1,): (1, 0)})
+    r = DataVector(1, 2, {(0,): (0, 1)})
+    target = DataVector(1, 2, {(0,): (0, 1), (1,): (1, 0), (2,): (1, 0)})
+    inst = Instance(1, 2, (p, r, dv_scale(-1, r)), target)
+    factored = spy(monkeypatch, zsolve, "hnf")
+    local_check(inst)
+    pre = len(factored)  # the Z pre-check's own factorisations
+    factored.clear()
+    residuals = spy(monkeypatch, nsolve, "dv_combine")
+    dec = n_solvable(inst)
+    assert dec.status == "SOLVABLE"
+    assert dec.guess == ((0, ((0, 1), (1, 2))),)
+    assert len(residuals) == 4
+    # layers 0 and 1 of the reversible generators, once each
+    assert len(factored) == pre + inst.arity + 1
 
 
 def test_n_solvable_single_renamed_copy():
@@ -141,6 +172,24 @@ def test_n_inconclusive_when_capped(ex2):
     inst = Instance(1, 1, (gen,), target)
     dec = n_solvable(inst, coeff_cap=0, guess_cap=10)
     assert dec.status in {"SOLVABLE", "INCONCLUSIVE"}
+
+
+def test_guess_cap_counts_the_accepting_guess():
+    # the 4th guess (two copies of the generator) is the first accepted
+    target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
+    inst = Instance(1, 1, (pair_generator(),), target)
+    full = n_solvable(inst)
+    at_cap = n_solvable(inst, guess_cap=4)
+    assert at_cap.status == "SOLVABLE"
+    assert (at_cap.guess, at_cap.residual_report) == (full.guess, full.residual_report)
+    assert n_solvable(inst, guess_cap=3).status == "INCONCLUSIVE"
+
+
+def test_guess_cap_counts_every_guess_of_an_exhausted_search(ex1):
+    # one copy of the pair generator, placed in 3 ways over atom 0 and
+    # fresh atoms; none leaves a Z-solvable residual
+    assert n_solvable(ex1, guess_cap=3).status == "UNSOLVABLE"
+    assert n_solvable(ex1, guess_cap=2).status == "INCONCLUSIVE"
 
 
 def test_n_solvable_projects_each_generator_once(monkeypatch):
