@@ -362,7 +362,7 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
         workspace = [v for v in sup if v != alpha]
         entries = _express_via_simple(
             fc.as_data_vector(),
-            [fc.as_data_vector()],
+            GeneratorLayers([fc.as_data_vector()], d),
             workspace,
             ctx,
         )
@@ -517,12 +517,12 @@ def _greedy_below(l_set: KSet, pool) -> Optional[tuple[Atom, ...]]:
 
 def _express_via_simple(
     h: DataVector,
-    family: Sequence[DataVector],
+    layers: GeneratorLayers,
     vertices: Sequence[Atom],
     ctx: _Ctx,
 ):
-    """Decompose h into simple hypergraphs of the family, supported inside
-    the given vertex set.
+    """Decompose h into simple hypergraphs of the owner's family, supported
+    inside the given vertex set.
 
     Level by level, for each size an improvement loop that repeatedly cancels
     a maximal nonzero-weight set L against a strictly dominated disjoint set
@@ -535,7 +535,6 @@ def _express_via_simple(
         raise ShapeError("working vertex set must cover the support")
     if len(verts) <= 2 * k - 1:
         raise ShapeError("working vertex set too small")
-    layers = GeneratorLayers(family, d)
     zero = zero_vec(d)
     entries = []
     residual = h
@@ -591,9 +590,24 @@ def express_via_simple(
     max_steps: int = 50_000,
     max_terms: int = 200_000,
 ):
-    """Public wrapper around the decomposition; allocates its own context."""
+    """Public wrapper around the decomposition; allocates its own context
+    and builds the family's layers."""
+    return express_over_layers(
+        GeneratorLayers(family, h.dim), h, vertices, max_steps, max_terms
+    )
+
+
+def express_over_layers(
+    layers: GeneratorLayers,
+    h: DataVector,
+    vertices,
+    max_steps: int = 50_000,
+    max_terms: int = 200_000,
+):
+    """`express_via_simple` over the family of a layer owner the caller
+    already holds, so layers it factored before are not factored again."""
     used = set(vertices) | set(h.support())
-    for g in family:
-        used |= set(g.support())
+    for g in layers.hypergraphs:
+        used |= g.vertices
     ctx = _Ctx(used, max_terms=max_terms, max_steps=max_steps)
-    return _express_via_simple(h, family, sorted(vertices), ctx)
+    return _express_via_simple(h, layers, sorted(vertices), ctx)

@@ -7,21 +7,37 @@ target support plus a fixed number of fresh atoms; coefficients range over
 the box of infinity-norm at most coeff_bound.  Within those bounds the
 search is complete, so absence is bounded-search absence and presence is a
 genuine witness (always re-verified before return).
+
+The search state is flat.  Every data set that a placement or the target
+touches is numbered once per call, in increasing rank (its atoms read from
+the largest down), and the residual and the reachability cap are `int`
+lists with `dim` consecutive slots per set.  Each placement is a
+precomputed list of (slot, value) updates.  A branch that gives a
+placement the coefficient c subtracts c times it in place; the next branch
+subtracts the difference of the two coefficients, and the last branch
+(coefficient 0) restores the residual.  Integer arithmetic makes this
+exact, so no residual is ever copied.  One `int` bitmask of the nonzero
+residual slots is kept current: as sets are numbered by rank, its highest
+bit lies in the largest set with a nonzero residual, which is the set the
+search branches on, and a zero mask means the target is met.  An explicit
+stack of (placement, next branch) frames replaces recursion, so a search's
+depth is bounded by memory only; the frames also spell out the witness
+when the target is met.
+
+The oracle shares no code with the deciders: it uses `core` and the
+witness verifier only.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    DataVector,
     FreshAtoms,
     Instance,
     VerificationError,
-    dv_permute,
     dv_scale,
 )
 from .witness import Witness, make_witness, verify_witness
@@ -47,32 +63,36 @@ class OracleConfig:
 
 
 def _columns(inst: Instance, cfg: OracleConfig):
-    """Distinct evaluated generator placements: [(vector, gen index, renaming)].
+    """Distinct evaluated generator placements: [(entries, gen index,
+    renaming)], each entries dict canonical (sorted keys, no zero value).
 
     Placements differing only by a renaming of atoms outside the image are
     identical as vectors, so deduplication by evaluated vector keeps the
-    column count small.
+    column count small; the first (generator, renaming) of each is kept.
     """
     pool = sorted(inst.target.support())
-    fresh = FreshAtoms(inst.all_atoms())
-    fresh_list = fresh.take_many(cfg.fresh_atoms)
-    full_pool = pool + fresh_list
-    seen: dict[DataVector, tuple[int, dict]] = {}
-    order: list[DataVector] = []
+    full_pool = pool + FreshAtoms(inst.all_atoms()).take_many(cfg.fresh_atoms)
+    seen: set[frozenset] = set()
+    cols: list[tuple[dict, int, dict]] = []
     for gi, gen in enumerate(inst.generators):
         sup = sorted(gen.support())
-        if len(sup) > len(full_pool):
+        if len(sup) > len(full_pool) or not gen.entries:
             continue
+        items = list(gen.entries.items())
         for image in itertools.permutations(full_pool, len(sup)):
             ren = dict(zip(sup, image))
-            vec = dv_permute(gen, ren)
-            if vec.is_zero() or vec in seen:
+            # a placement is injective, so a renamed key is a set once sorted
+            entries = {
+                tuple(sorted([ren[a] for a in key])): val for key, val in items
+            }
+            ident = frozenset(entries.items())
+            if ident in seen:
                 continue
-            seen[vec] = (gi, ren)
-            order.append(vec)
-            if len(order) > cfg.max_columns:
+            seen.add(ident)
+            cols.append((entries, gi, ren))
+            if len(cols) > cfg.max_columns:
                 raise OracleGuardError("too many generator placements")
-    return [(vec, *seen[vec]) for vec in order]
+    return cols
 
 
 def _key_rank(key) -> tuple:
@@ -83,103 +103,112 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
     """First witness found by a complete residual-directed search, or None.
 
     At each node the search picks the largest data set with a nonzero
-    residual value and branches on the first unassigned placement that can
-    change it; every branch either zeroes that placement or commits it to a
-    nonzero coefficient, so the search covers the whole coefficient box.
-    Deterministic; raises OracleGuardError above max_nodes.
+    residual value (the highest bit of the nonzero-slot mask) and branches on
+    the first undecided placement, heaviest first, that can change it:
+    first on each nonzero coefficient, then on skipping the placement, so
+    the search covers the whole coefficient box.  A node is dead when the
+    set's residual exceeds what the undecided placements can still reach.
+    Steps update the flat residual in place and are undone on backtrack;
+    the frames live on an explicit stack.  Deterministic; raises
+    OracleGuardError above max_nodes.
     """
     cols = _columns(inst, cfg)
     b = cfg.coeff_bound
-    # per data set: touching columns (heaviest first) and a mutable
-    # coordinatewise reachability cap over the not-yet-decided columns
-    touch: dict = {}
-    cap: dict = {}
-    for j, (vec, _gi, _ren) in enumerate(cols):
-        for key, val in vec.entries.items():
-            touch.setdefault(key, []).append(j)
-            c = cap.setdefault(key, [0] * inst.dim)
-            for i, x in enumerate(val):
-                c[i] += b * abs(x)
-    for key, lst in touch.items():
-        lst.sort(
-            key=lambda j: -sum(abs(x) for x in cols[j][0].value(key))
-        )
+    dim = inst.dim
+    keys: set = set(inst.target.entries)
+    for entries, _gi, _ren in cols:
+        keys.update(entries)
+    index = {key: s for s, key in enumerate(sorted(keys, key=_key_rank))}
+    # per placement: its nonzero slots as (slot, value) and each slot's
+    # share b*|value| of the cap; per set: the touching placements, heaviest
+    # first; per slot: the reachability cap over the undecided placements
+    updates: list[list[tuple[int, int]]] = []
+    shares: list[list[tuple[int, int]]] = []
+    touch: list[list[tuple[int, int]]] = [[] for _ in index]
+    cap = [0] * (len(index) * dim)
+    for j, (entries, _gi, _ren) in enumerate(cols):
+        upd = []
+        for key, val in entries.items():
+            s = index[key]
+            touch[s].append((-sum(abs(x) for x in val), j))
+            upd.extend((s * dim + i, x) for i, x in enumerate(val) if x)
+        updates.append(upd)
+        shares.append([(slot, b * abs(x)) for slot, x in upd])
+        for slot, share in shares[j]:
+            cap[slot] += share
+    order = [[j for _w, j in sorted(lst)] for lst in touch]
+    # the residual, and the bitmask of its nonzero slots: sets are numbered
+    # by rank and own consecutive slots, so the highest bit of the mask lies
+    # in the largest set with a nonzero residual
+    residual = [0] * (len(index) * dim)
+    mask = 0
+    for key, val in inst.target.entries.items():
+        for i, x in enumerate(val):
+            if x:
+                slot = index[key] * dim + i
+                residual[slot] = x
+                mask |= 1 << slot
+    # branch k of a frame gives its placement the coefficient coeffs[k]: the
+    # nonzero values first, then 0 (skip); moving to branch k subtracts
+    # shift[k] = coeffs[k] - coeffs[k-1] times the placement, so the skip
+    # branch restores the residual the frame started from
     if cfg.mode == "N":
-        values = list(range(1, b + 1))
+        coeffs = list(range(1, b + 1))
     else:
-        values = [v for m in range(1, b + 1) for v in (m, -m)]
-    nodes = 0
+        coeffs = [v for m in range(1, b + 1) for v in (m, -m)]
+    nv = len(coeffs)
+    coeffs.append(0)
+    shift = [c - p for c, p in zip(coeffs, [0] + coeffs)]
+    max_nodes = cfg.max_nodes
     decided = bytearray(len(cols))
-    sentinel: list[tuple[int, int, dict]] = []
-    rank_cache: dict = {}
-
-    def rank(key):
-        r = rank_cache.get(key)
-        if r is None:
-            r = rank_cache[key] = _key_rank(key)
-        return r
-
-    def decide(j: int, sign: int) -> None:
-        decided[j] = 1 if sign > 0 else 0
-        for key, val in cols[j][0].entries.items():
-            c = cap[key]
-            for i, x in enumerate(val):
-                c[i] -= sign * b * abs(x)
-
-    def _sub(residual: dict, c: int, vec: DataVector) -> dict:
-        out = dict(residual)
-        for key, val in vec.entries.items():
-            cur = out.get(key)
-            nxt = (
-                tuple(-c * y for y in val)
-                if cur is None
-                else tuple(x - c * y for x, y in zip(cur, val))
-            )
-            if any(nxt):
-                out[key] = nxt
-            else:
-                out.pop(key, None)
-        return out
-
-    def search(residual: dict) -> bool:
-        nonlocal nodes
+    stack: list[list[int]] = []  # frames [placement, next branch]
+    nodes = 0
+    while True:
+        # evaluate the node at the current residual
         nodes += 1
-        if nodes > cfg.max_nodes:
+        if nodes > max_nodes:
             raise OracleGuardError("search node budget exceeded")
-        if not residual:
-            return True
-        key = max(residual, key=rank)
-        goal = residual[key]
-        capk = cap.get(key)
-        if capk is None:
-            return False
-        for g, c in zip(goal, capk):
-            if abs(g) > c:
-                return False
-        j0 = next((j for j in touch[key] if not decided[j]), None)
-        if j0 is None:
-            return False
-        vec, gi, ren = cols[j0]
-        decide(j0, 1)
-        try:
-            for c in values:
-                sentinel.append((c, gi, ren))
-                if search(_sub(residual, c, vec)):
-                    return True
-                sentinel.pop()
-            return search(residual)
-        finally:
-            decide(j0, -1)
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, len(cols) * 2 + 1000))
-    try:
-        found = search(dict(inst.target.entries))
-    finally:
-        sys.setrecursionlimit(limit)
-    if not found:
-        return None
-    w = make_witness(sentinel)
+        if not mask:
+            break
+        s = (mask.bit_length() - 1) // dim
+        for i in range(s * dim, s * dim + dim):
+            r = residual[i]
+            if r > cap[i] or -r > cap[i]:
+                break
+        else:
+            for j0 in order[s]:
+                if not decided[j0]:
+                    decided[j0] = 1
+                    for slot, share in shares[j0]:
+                        cap[slot] -= share
+                    stack.append([j0, 0])
+                    break
+        # move to the next node: the top frame's next branch, popping the
+        # frames whose branches are exhausted
+        while stack:
+            frame = stack[-1]
+            j, k = frame
+            if k > nv:
+                stack.pop()
+                decided[j] = 0
+                for slot, share in shares[j]:
+                    cap[slot] += share
+                continue
+            frame[1] = k + 1
+            d = shift[k]
+            if d:
+                for slot, x in updates[j]:
+                    old = residual[slot]
+                    new = residual[slot] = old - d * x
+                    if not old or not new:
+                        mask ^= 1 << slot
+            break
+        else:
+            return None
+    # the met target's path: each frame's current branch k - 1, if nonzero
+    w = make_witness(
+        (coeffs[k - 1], cols[j][1], cols[j][2]) for j, k in stack if k <= nv
+    )
     if not verify_witness(inst, w, cfg.mode):
         raise VerificationError("oracle produced a non-verifying witness")
     return w

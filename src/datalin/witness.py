@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .calculus import CalculusError, express_via_simple
+from .calculus import CalculusError, express_over_layers
 from .core import (
     Atom,
     DataVector,
@@ -22,7 +22,7 @@ from .core import (
     dv_combine,
     dv_permute,
 )
-from .zsolve import local_check
+from .zsolve import GeneratorLayers
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,9 @@ def extract_witness_general(
     target over the generator family.  Returns None exactly when the
     subset-weight membership check fails; raises CapExceeded when the
     construction outgrows its resource caps (distinct from unsolvable)."""
-    if not local_check(inst).decision:
+    # one owner factors each layer for the check and the decomposition alike
+    layers = GeneratorLayers(inst.generators, inst.dim)
+    if not layers.check(inst.target).decision:
         return None
     quick = _single_copy_witness(inst)
     if quick is not None:
@@ -114,9 +116,9 @@ def extract_witness_general(
     verts = sorted(inst.target.support())
     while len(verts) < 2 * k:
         verts.append(fresh.take())
-    entries = express_via_simple(
+    entries = express_over_layers(
+        layers,
         inst.target,
-        inst.generators,
         verts,
         max_steps=max_steps,
         max_terms=max_terms,

@@ -171,3 +171,44 @@ def test_no_dv_add_fold_in_a_loop(module):
     # number of renamed, scaled copies in one pass.
     source = (SRC / module).read_text(encoding="utf-8")
     assert looped_calls(source, {"dv_add", "dv_sub"}) == []
+
+
+def library_imports(source: str) -> dict[str, set[str]]:
+    """Modules imported by the source, each with the names taken from it
+    (empty for a plain `import m`); relative imports as `.module`."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found.setdefault(module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_library_imports_reads_plain_and_relative_imports():
+    src = (
+        "import sys, itertools\n"
+        "from .core import DataVector, kset\n"
+        "from . import zsolve\n"
+        "from datalin.witness import Witness\n"
+    )
+    assert library_imports(src) == {
+        "sys": set(),
+        "itertools": set(),
+        ".core": {"DataVector", "kset"},
+        ".": {"zsolve"},
+        "datalin.witness": {"Witness"},
+    }
+
+
+def test_oracle_stays_independent_of_the_deciders():
+    # The oracle is the ground truth the deciders are checked against, so it
+    # may use `core` and the witness verifier only; its search is iterative,
+    # so it has no use for `sys` (the recursion limit).
+    imports = library_imports((SRC / "oracle.py").read_text(encoding="utf-8"))
+    library = {m for m in imports if m.startswith(".") or m.startswith("datalin")}
+    assert library <= {".core", ".witness"}
+    assert imports.get(".witness", set()) <= {"Witness", "make_witness", "verify_witness"}
+    assert "sys" not in imports

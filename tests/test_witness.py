@@ -4,8 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from datalin import zsolve
 from datalin.calculus import CapExceeded
-from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
+from datalin.core import (
+    DataVector,
+    Instance,
+    dv_add,
+    dv_permute,
+    dv_scale,
+    encode_hypergraph,
+)
+from datalin.intlin import IntMatrix
 from datalin.witness import (
     Witness,
     WitnessTerm,
@@ -15,7 +24,7 @@ from datalin.witness import (
     make_witness,
     verify_witness,
 )
-from datalin.zsolve import z_solvable
+from datalin.zsolve import layer_weights, z_solvable
 
 from conftest import (
     edge_target,
@@ -23,6 +32,7 @@ from conftest import (
     point_target,
     random_data_vector,
     small_instances,
+    spy,
     triangle,
 )
 
@@ -170,3 +180,23 @@ def test_extractors_agree_with_decision_on_random_instances():
 def test_z_solvable_iff_the_general_extractor_verifies(inst):
     w = extract_witness_general(inst)
     assert z_solvable(inst) == (w is not None and verify_witness(inst, w))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instance(1, 1, (pair_generator(),), point_target(2)),
+        Instance(2, 1, (triangle(0, 1, 2),), edge_target(6)),
+    ],
+    ids=["arity-1", "arity-2"],
+)
+def test_general_extraction_factors_each_layer_once(monkeypatch, inst):
+    # the membership check and the decomposition share one layer owner
+    calls = spy(monkeypatch, zsolve, "hnf")
+    w = extract_witness_general(inst)
+    assert w is not None and verify_witness(inst, w)
+    family = [encode_hypergraph(g) for g in inst.generators]
+    factored = [args[0] for args in calls]
+    for size in range(inst.arity + 1):
+        m = IntMatrix.from_columns(list(layer_weights(family, size)), nrows=inst.dim)
+        assert factored.count(m) == 1
