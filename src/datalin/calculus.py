@@ -38,6 +38,7 @@ from .core import (
     vec_add,
     vec_scale,
     weight,
+    weight_table,
     zero_vec,
 )
 from .intlin import IntMatrix, rank_full
@@ -246,23 +247,27 @@ def _compose(outer: Mapping[Atom, Atom], inner: Mapping[Atom, Atom]) -> dict[Ato
     return {u: outer.get(v, v) for u, v in inner.items()}
 
 
-class _Ctx:
-    """One construction context: fresh-atom supply, caps, memo tables."""
+# Resource caps of one construction, read when checked: construction steps
+# (recursion and improvement-loop rounds) and terms of one witness list.
+_MAX_STEPS = 50_000
+_MAX_TERMS = 200_000
 
-    def __init__(self, used, max_terms: int = 200_000, max_steps: int = 50_000):
+
+class _Ctx:
+    """One construction context: fresh-atom supply, step count, memo tables."""
+
+    def __init__(self, used):
         self.fresh = FreshAtoms(used)
-        self.max_terms = max_terms
-        self.max_steps = max_steps
         self.steps = 0
         self.simple_cache: dict = {}
 
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
-        if self.steps > self.max_steps:
+    def tick(self) -> None:
+        self.steps += 1
+        if self.steps > _MAX_STEPS:
             raise CapExceeded("construction step cap exceeded")
 
     def check_terms(self, terms) -> None:
-        if len(terms) > self.max_terms:
+        if len(terms) > _MAX_TERMS:
             raise CapExceeded("witness term cap exceeded")
 
 
@@ -542,8 +547,7 @@ def _express_via_simple(
         # The residual's nonzero size-`level` weights, read once and then
         # kept current by subtracting each placed graph's weights (weights
         # are additive); the residual itself is rebuilt once per level.
-        res_h = Hypergraph(frozenset(verts), k, d, dict(residual.entries))
-        weights = {x: weight(res_h, x) for x in nonzero_weight_sets(res_h, level)}
+        weights = weight_table(residual)[level]
         residual_terms = [(1, residual, {})]
         while True:
             ctx.tick()
@@ -583,31 +587,18 @@ def _express_via_simple(
     return entries
 
 
-def express_via_simple(
-    h: DataVector,
-    family: Sequence[DataVector],
-    vertices,
-    max_steps: int = 50_000,
-    max_terms: int = 200_000,
-):
+def express_via_simple(h: DataVector, family: Sequence[DataVector], vertices):
     """Public wrapper around the decomposition; allocates its own context
-    and builds the family's layers."""
-    return express_over_layers(
-        GeneratorLayers(family, h.dim), h, vertices, max_steps, max_terms
-    )
+    and builds the family's layers.  Raises CapExceeded past `_MAX_STEPS`
+    steps or `_MAX_TERMS` terms."""
+    return express_over_layers(GeneratorLayers(family, h.dim), h, vertices)
 
 
-def express_over_layers(
-    layers: GeneratorLayers,
-    h: DataVector,
-    vertices,
-    max_steps: int = 50_000,
-    max_terms: int = 200_000,
-):
+def express_over_layers(layers: GeneratorLayers, h: DataVector, vertices):
     """`express_via_simple` over the family of a layer owner the caller
     already holds, so layers it factored before are not factored again."""
     used = set(vertices) | set(h.support())
     for g in layers.hypergraphs:
         used |= g.vertices
-    ctx = _Ctx(used, max_terms=max_terms, max_steps=max_steps)
+    ctx = _Ctx(used)
     return _express_via_simple(h, layers, sorted(vertices), ctx)

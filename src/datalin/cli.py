@@ -367,6 +367,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag in ("arity", "dim", "gens", "weight_range"):
+        if getattr(args, flag) < 1:
+            raise FormatError(f"--{flag.replace('_', '-')} must be at least 1")
     rng = random.Random(args.seed)
     atoms = [f"a{i}" for i in range(args.atoms)]
     if args.atoms < args.arity:

@@ -6,17 +6,19 @@ of a data vector: an explicit vertex set (possibly with isolated vertices)
 together with the weight function on k-subsets.  All values are immutable
 after construction and all integers are arbitrary precision.
 
-Subset weights (the weight of a vertex set X is the sum of mu(e) over the
-hyperedges e containing X) come from one sparse table per hypergraph, built
-on first use by adding each hyperedge's value into each of its 2^k subsets:
-it costs entries * 2^k additions and stores only the nonzero weights.
-`weight` and `nonzero_weight_sets` read that table, so a hypergraph's `mu`
-must not be mutated after construction.
+Subset weights (the weight of a vertex set X is the sum of the values at
+the keys containing X) have one builder, `weight_table`: it adds each
+entry's value into each of its 2^k subsets (entries * 2^k additions) and
+keeps the nonzero weights, one sorted dict per subset size.  A hypergraph
+keeps the table of its `mu`, built on first use, for `weight` and
+`nonzero_weight_sets`, so `mu` must not be mutated after construction; a
+bare data vector's weights are read from `weight_table` directly.
 
-Sums of renamed, scaled copies go through `dv_combine`, which adds every
-term's renamed values into one dict and canonicalises the result once:
-entries * terms additions, where folding `dv_add` over the terms would copy
-and re-validate the growing accumulator at every step.
+Every sum of renamed, scaled copies is one `dv_combine` call, which adds
+each term's renamed values into one dict and canonicalises once (entries *
+terms additions).  The pairwise operations are such calls: `dv_add` and
+`dv_sub` sum the terms (1, a) and (+-1, b), `dv_scale` is the term (c, a)
+and `dv_permute` the term (1, a, pi).
 """
 
 from __future__ import annotations
@@ -111,36 +113,18 @@ class DataVector:
         return hash((self.arity, self.dim, frozenset(self.entries.items())))
 
 
-def _check_same_shape(a: DataVector | "Hypergraph", b: DataVector | "Hypergraph") -> None:
-    if a.arity != b.arity or a.dim != b.dim:
-        raise ShapeError(
-            f"shape mismatch: ({a.arity},{a.dim}) vs ({b.arity},{b.dim})"
-        )
-
-
 def dv_add(a: DataVector, b: DataVector) -> DataVector:
     """Pointwise sum, re-canonicalized."""
-    _check_same_shape(a, b)
-    entries = dict(a.entries)
-    for key, val in b.entries.items():
-        cur = entries.get(key)
-        entries[key] = vec_add(cur, val) if cur is not None else val
-    return DataVector(a.arity, a.dim, entries)
+    return dv_combine(a.arity, a.dim, [(1, a, {}), (1, b, {})])
 
 
 def dv_scale(c: int, a: DataVector) -> DataVector:
     """Multiply every value by c; c = 0 yields the empty vector."""
-    if c == 0:
-        return DataVector(a.arity, a.dim, {})
-    return DataVector(a.arity, a.dim, {k: vec_scale(c, v) for k, v in a.entries.items()})
+    return dv_combine(a.arity, a.dim, [(c, a, {})])
 
 
 def dv_sub(a: DataVector, b: DataVector) -> DataVector:
-    return dv_add(a, dv_scale(-1, b))
-
-
-def _apply_renaming(pi: Mapping[Atom, Atom], key: KSet) -> KSet:
-    return kset(pi.get(a, a) for a in key)
+    return dv_combine(a.arity, a.dim, [(1, a, {}), (-1, b, {})])
 
 
 def check_injective_on(pi: Mapping[Atom, Atom], atoms: Iterable[Atom]) -> None:
@@ -153,10 +137,7 @@ def check_injective_on(pi: Mapping[Atom, Atom], atoms: Iterable[Atom]) -> None:
 def dv_permute(a: DataVector, pi: Mapping[Atom, Atom]) -> DataVector:
     """Forward renaming: the entry at key X moves to {pi(x) : x in X};
     atoms outside pi's domain are fixed."""
-    check_injective_on(pi, a.support())
-    return DataVector(
-        a.arity, a.dim, {_apply_renaming(pi, k): v for k, v in a.entries.items()}
-    )
+    return dv_combine(a.arity, a.dim, [(1, a, pi)])
 
 
 def dv_combine(
@@ -164,11 +145,14 @@ def dv_combine(
     dim: int,
     terms: Iterable[tuple[int, DataVector, Mapping[Atom, Atom]]],
 ) -> DataVector:
-    """Sum of c * dv_permute(a, pi) over the terms (c, a, pi), in one pass.
+    """Sum of c * pi(a) over the terms (c, a, pi), in one pass, where pi(a)
+    moves the entry at key X to {pi(x) : x in X} (atoms outside pi's domain
+    are fixed).
 
-    Each term is shape-checked and its renaming checked injective on a's
-    support (the ShapeErrors of `dv_add` and `dv_permute`); the renamed,
-    scaled values are added into one dict, which is canonicalised once."""
+    Each term must have the given arity and dimension, and its renaming
+    must be injective on a's support (ShapeError otherwise, also at c = 0);
+    the renamed, scaled values are added into one dict, which is
+    canonicalised once."""
     acc: dict[KSet, IntVector] = {}
     for c, a, pi in terms:
         if a.arity != arity or a.dim != dim:
@@ -222,16 +206,23 @@ class Hypergraph:
 
     @cached_property
     def _weight_table(self) -> tuple[dict[KSet, IntVector], ...]:
-        """Nonzero subset weights, one dict per subset size, keys sorted."""
-        layers: list[dict[KSet, IntVector]] = [{} for _ in range(self.arity + 1)]
-        for key, val in self.mu.items():
-            for size, layer in enumerate(layers):
-                for x in itertools.combinations(key, size):
-                    cur = layer.get(x)
-                    layer[x] = val if cur is None else vec_add(cur, val)
-        return tuple(
-            {x: layer[x] for x in sorted(layer) if any(layer[x])} for layer in layers
-        )
+        """`weight_table` of `mu`, built on first use and kept."""
+        return weight_table(self._data_vector)
+
+
+def weight_table(a: DataVector) -> tuple[dict[KSet, IntVector], ...]:
+    """Nonzero subset weights of a data vector, one dict per subset size
+    0..arity with its keys sorted: the weight of X is the sum of the values
+    at the keys containing X.  Each call builds fresh dicts."""
+    layers: list[dict[KSet, IntVector]] = [{} for _ in range(a.arity + 1)]
+    for key, val in a.entries.items():
+        for size, layer in enumerate(layers):
+            for x in itertools.combinations(key, size):
+                cur = layer.get(x)
+                layer[x] = val if cur is None else vec_add(cur, val)
+    return tuple(
+        {x: layer[x] for x in sorted(layer) if any(layer[x])} for layer in layers
+    )
 
 
 def encode_hypergraph(a: DataVector) -> Hypergraph:
@@ -260,7 +251,6 @@ def nonzero_weight_sets(h: Hypergraph, size: int) -> list[KSet]:
 
 def hg_add(g: Hypergraph, h: Hypergraph) -> Hypergraph:
     """Vertex sets unioned, weights added pointwise."""
-    _check_same_shape(g, h)
     dv = dv_add(g.as_data_vector(), h.as_data_vector())
     return Hypergraph(g.vertices | h.vertices, g.arity, g.dim, dict(dv.entries))
 
@@ -287,7 +277,8 @@ def equivalent(g: Hypergraph, h: Hypergraph) -> bool:
 
     Backtracking search over weight-preserving vertex bijections with
     signature pruning; complete, intended for small vertex counts."""
-    _check_same_shape(g, h)
+    if g.arity != h.arity or g.dim != h.dim:
+        raise ShapeError(f"shape mismatch: ({g.arity},{g.dim}) vs ({h.arity},{h.dim})")
     gv = sorted(g.nonisolated())
     hv = sorted(h.nonisolated())
     if len(gv) != len(hv) or len(g.mu) != len(h.mu):

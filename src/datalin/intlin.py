@@ -6,7 +6,7 @@ into an immutable `HermiteForm`, whose `.solve(y)` decides one right-hand
 side by a triangular solve and re-verifies M*x = y.  `z_solve_system(m, y)`
 is the one-shot `hnf(m).solve(y)`; callers that solve many right-hand sides
 against one matrix (a layer of the Z criterion) hold the factorisation
-instead.  Also: full-rank testing by fraction-free (Bareiss) elimination,
+instead; `rank` reads the pivot count of the same factorisation.  Also:
 membership in the nonnegative rational cone by an exact simplex with
 Bland's rule, and the exponential norm bound driving the bounded
 nonnegative search.  No floating point anywhere.
@@ -284,34 +284,9 @@ def cone_member(gens: Sequence[IntVector], y: Sequence[int]) -> bool:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, fraction-free Bareiss elimination."""
-    a = [list(row) for row in m.entries]
-    r, c = m.rows, m.cols
-    rk = 0
-    prev = 1
-    for _ in range(min(r, c)):
-        piv = None
-        for i in range(rk, r):
-            for j in range(rk, c):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        a[rk], a[pi] = a[pi], a[rk]
-        for row in a:
-            row[rk], row[pj] = row[pj], row[rk]
-        p = a[rk][rk]
-        for i in range(rk + 1, r):
-            for j in range(rk + 1, c):
-                a[i][j] = (a[i][j] * p - a[i][rk] * a[rk][j]) // prev
-            a[i][rk] = 0
-        prev = p
-        rk += 1
-    return rk
+    """Rank over the rationals: the pivot count of M's Hermite form, since
+    M * U = H with U unimodular and H in column echelon form."""
+    return len(hnf(m).pivots)
 
 
 def rank_full(m: IntMatrix) -> bool:

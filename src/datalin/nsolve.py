@@ -60,17 +60,15 @@ def data_projection(a: DataVector) -> IntVector:
     return total
 
 
-def smooth(a: DataVector, support, max_support: int = 8) -> DataVector:
+def smooth(a: DataVector, support) -> DataVector:
     """Sum of all copies of `a` renamed by permutations of `support`
     (identity elsewhere).  Every size-k subset of the support then carries
-    one shared value."""
+    one shared value.  Supports beyond 8 atoms (8! copies) are refused."""
     sup = sorted(set(support))
     if not set(a.support()) <= set(sup):
         raise ValueError("support must cover the vector's support")
-    if len(sup) > max_support:
-        raise ValueError(
-            f"support of size {len(sup)} exceeds the {max_support}! guard"
-        )
+    if len(sup) > 8:
+        raise ValueError(f"support of size {len(sup)} exceeds the 8! guard")
     return dv_combine(
         a.arity,
         a.dim,

@@ -79,10 +79,11 @@ def verify_witness(inst: Instance, w: Witness, mode: str = "Z") -> bool:
 # extractor
 
 
-def _single_copy_witness(inst: Instance, max_support: int = 8) -> Optional[Witness]:
-    """A one-term witness when the target is a renamed generator copy."""
+def _single_copy_witness(inst: Instance) -> Optional[Witness]:
+    """A one-term witness when the target is a renamed generator copy of
+    support at most 8 (8! renamings per generator)."""
     tsup = sorted(inst.target.support())
-    if len(tsup) > max_support:
+    if len(tsup) > 8:
         return None
     for gi, gen in enumerate(inst.generators):
         gsup = sorted(gen.support())
@@ -95,15 +96,12 @@ def _single_copy_witness(inst: Instance, max_support: int = 8) -> Optional[Witne
     return None
 
 
-def extract_witness_general(
-    inst: Instance,
-    max_steps: int = 50_000,
-    max_terms: int = 200_000,
-) -> Optional[Witness]:
+def extract_witness_general(inst: Instance) -> Optional[Witness]:
     """Witness for any arity via the simple-hypergraph decomposition of the
     target over the generator family.  Returns None exactly when the
     subset-weight membership check fails; raises CapExceeded when the
-    construction outgrows its resource caps (distinct from unsolvable)."""
+    construction outgrows its resource caps (`calculus._MAX_STEPS` and
+    `calculus._MAX_TERMS`; distinct from unsolvable)."""
     # one owner factors each layer for the check and the decomposition alike
     layers = GeneratorLayers(inst.generators, inst.dim)
     if not layers.check(inst.target).decision:
@@ -116,13 +114,7 @@ def extract_witness_general(
     verts = sorted(inst.target.support())
     while len(verts) < 2 * k:
         verts.append(fresh.take())
-    entries = express_over_layers(
-        layers,
-        inst.target,
-        verts,
-        max_steps=max_steps,
-        max_terms=max_terms,
-    )
+    entries = express_over_layers(layers, inst.target, verts)
     raw: list[tuple[int, int, Mapping[Atom, Atom]]] = []
     for _hg, _spec, fam_terms in entries:
         raw.extend(fam_terms)

@@ -27,6 +27,7 @@ from .core import (
     encode_hypergraph,
     nonzero_weight_sets,
     weight,
+    weight_table,
 )
 from .intlin import HermiteForm, IntMatrix, hnf
 
@@ -95,15 +96,12 @@ class GeneratorLayers:
         """Check every layer of the local criterion for `target` and report
         all failing subsets, sorted by (size, lexicographic subset).  Only
         the layers where the target has a nonzero subset are built."""
-        target_h = encode_hypergraph(target)
         failures: list[LocalFailure] = []
-        for size in range(0, target.arity + 1):
-            subsets = nonzero_weight_sets(target_h, size)
-            if not subsets:
+        for size, weights in enumerate(weight_table(target)):
+            if not weights:
                 continue
             layer = self.layer(size)
-            for x in subsets:
-                w = weight(target_h, x)
+            for x, w in weights.items():
                 if layer.factor.solve(w) is None:
                     failures.append(LocalFailure(x, w, len(layer.reps)))
         return LocalReport(decision=not failures, failures=tuple(failures))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from datalin.cli import (
     parse_instance,
     parse_witness,
 )
-from datalin import intlin
+from datalin import calculus, intlin
 from datalin.calculus import CalculusError
 from datalin.core import DataVector, Instance, VerificationError
 from datalin.witness import WitnessTerm, Witness, extract_witness_general
@@ -219,6 +223,18 @@ def test_unbounded_simplex_exit_code_4(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_step_cap_reports_inconclusive(tmp_path, capsys, monkeypatch):
+    # EX2 needs a decomposition, which cannot finish in one step
+    monkeypatch.setattr(calculus, "_MAX_STEPS", 1)
+    path = write(tmp_path, "ex2.json", EX2)
+    assert main(["witness", path]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == "INCONCLUSIVE"
+    assert main(["zsolve", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert payload["solvable"] is True
+    assert payload["witness"] is None
+
+
 def test_witness_absent(tmp_path, capsys):
     odd = dict(EX2, target=[{"set": ["g", "d"], "value": ["3"]}])
     path = write(tmp_path, "odd2.json", odd)
@@ -252,6 +268,22 @@ def test_gen_is_byte_stable(capsys):
     assert capsys.readouterr().out == first
     inst = parse_instance(json.loads(first), AtomTable())
     assert inst.arity == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--gens", "0"], ["--gens", "-1"], ["--dim", "0"], ["--weight-range", "0"],
+     ["--arity", "0"]],
+)
+def test_gen_rejects_nonpositive_sizes(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "datalin.cli", "gen", *flags],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
 
 
 def test_json_flag_emits_machine_report(tmp_path, capsys):

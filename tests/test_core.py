@@ -20,6 +20,7 @@ from datalin.core import (
     kset,
     nonzero_weight_sets,
     weight,
+    weight_table,
 )
 
 from conftest import pair_generator, triangle
@@ -91,6 +92,58 @@ def test_permute_requires_injectivity_on_support():
     assert out.support() == frozenset({1, 2})
 
 
+def dict_combine(terms):
+    """Reference by plain dict arithmetic: the entries of the sum of
+    c * (a renamed by pi) over the terms, zeros dropped."""
+    total = {}
+    for c, a, pi in terms:
+        for key, val in a.entries.items():
+            image = tuple(sorted(pi.get(x, x) for x in key))
+            cur = total.get(image, (0,) * a.dim)
+            total[image] = tuple(x + c * y for x, y in zip(cur, val))
+    return {key: val for key, val in total.items() if any(val)}
+
+
+@st.composite
+def shaped_vectors(draw):
+    """Two vectors of one shape (arity 1-3, dimension 1-2), a third of
+    another shape, a coefficient and a partial renaming of atoms 0..6 into
+    0..9, which need not be injective on a vector's support."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=2))
+    k2, d2 = draw(
+        st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2))
+        .filter(lambda s: s != (k, d))
+    )
+    pi = draw(st.dictionaries(atoms_st, st.integers(min_value=0, max_value=9), max_size=7))
+    c = draw(st.integers(min_value=-3, max_value=3))
+    return draw(small_vec(k, d)), draw(small_vec(k, d)), draw(small_vec(k2, d2)), c, pi
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_vectors())
+def test_pairwise_ops_match_dict_arithmetic(case):
+    a, b, other, c, pi = case
+    assert dv_add(a, b).entries == dict_combine([(1, a, {}), (1, b, {})])
+    assert dv_sub(a, b).entries == dict_combine([(1, a, {}), (-1, b, {})])
+    assert dv_scale(c, a).entries == dict_combine([(c, a, {})])
+    for result in (dv_add(a, b), dv_sub(a, b), dv_scale(c, a)):
+        assert (result.arity, result.dim) == (a.arity, a.dim)
+    mismatch = f"shape mismatch: ({a.arity},{a.dim}) vs ({other.arity},{other.dim})"
+    for op in (dv_add, dv_sub):
+        with pytest.raises(ShapeError) as err:
+            op(a, other)
+        assert str(err.value) == mismatch
+    support = sorted(a.support())
+    images = [pi.get(x, x) for x in support]
+    if len(set(images)) == len(images):
+        assert dv_permute(a, pi).entries == dict_combine([(1, a, pi)])
+    else:
+        with pytest.raises(ShapeError) as err:
+            dv_permute(a, pi)
+        assert str(err.value) == f"renaming is not injective on {support}: {pi}"
+
+
 def fold_copies(arity, dim, terms):
     """The reference sum: one dv_add per renamed, scaled copy."""
     acc = DataVector(arity, dim, {})
@@ -120,6 +173,7 @@ def copy_terms(draw):
 def test_combine_equals_the_dv_add_fold(case):
     k, d, terms = case
     assert dv_combine(k, d, terms) == fold_copies(k, d, terms)
+    assert dv_combine(k, d, terms).entries == dict_combine(terms)
     # every copy cancelled by its negation: the empty vector
     negated = [(-c, a, pi) for c, a, pi in terms]
     assert dv_combine(k, d, terms + negated).entries == {}
@@ -182,14 +236,17 @@ def scan_weight(h, x):
 @given(hypergraphs())
 def test_weight_table_matches_the_definitional_scan(h):
     atoms = sorted(h.vertices) + [max(h.vertices) + 1]  # one atom outside
+    table = weight_table(h.as_data_vector())
+    assert len(table) == h.arity + 1
     for size in range(h.arity + 1):
-        nonzero = []
+        nonzero = {}
         for x in itertools.combinations(atoms, size):
             w = scan_weight(h, x)
             assert weight(h, x) == weight(h, x[::-1]) == w
             if any(w):
-                nonzero.append(x)
-        assert nonzero_weight_sets(h, size) == nonzero
+                nonzero[x] = w
+        assert nonzero_weight_sets(h, size) == list(nonzero)
+        assert list(table[size].items()) == list(nonzero.items())
     with pytest.raises(ShapeError):
         weight(h, atoms[: h.arity + 1])
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -220,3 +221,33 @@ def test_rank():
     assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
     assert rank_full(IntMatrix.from_rows([[1, 0], [0, 5]]))
     assert not rank_full(IntMatrix.from_rows([[1, 1], [1, 1]]))
+
+
+def fraction_rank(rows, ncols):
+    """Reference rank: Gauss-Jordan elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rk = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rk, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        for i in range(len(m)):
+            if i != rk and m[i][col]:
+                f = m[i][col] / m[rk][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rk])]
+        rk += 1
+    return rk
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rank_matches_rational_elimination(data):
+    r = data.draw(st.integers(min_value=0, max_value=6))
+    c = data.draw(st.integers(min_value=0, max_value=6))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    m = IntMatrix(r, c, tuple(map(tuple, rows)))
+    expected = fraction_rank(rows, c)
+    assert rank(m) == expected
+    assert rank_full(m) == (expected == min(r, c))

@@ -212,3 +212,107 @@ def test_oracle_stays_independent_of_the_deciders():
     assert library <= {".core", ".witness"}
     assert imports.get(".witness", set()) <= {"Witness", "make_witness", "verify_witness"}
     assert "sys" not in imports
+
+
+def defaulted_params(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, position) for every defaulted parameter of a
+    `def`.  The callee name is the function's, or the class's for an
+    `__init__`; the position counts the positional arguments a call passes
+    (after the bound `self` of a method) and is None for keyword-only ones."""
+    found: list[tuple[str, str, int | None]] = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            if cls is not None and not static:
+                positional = positional[1:]
+            name = cls if cls is not None and child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for pos, param in enumerate(positional[first:], first):
+                found.append((name, param.arg, pos))
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((name, param.arg, None))
+            visit(child, None)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def passed_arguments(sources: list[str]) -> dict[str, tuple[float, set[str]]]:
+    """For each name called (bare or as an attribute): the most positional
+    arguments one call passes (infinite after a `*` argument) and the
+    keywords passed (`**` for a `**` argument)."""
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            most, keywords = passed.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            most = max(most, float("inf") if starred else len(node.args))
+            keywords |= {k.arg or "**" for k in node.keywords}
+            passed[name] = (most, keywords)
+    return passed
+
+
+def unpassed_defaults(defining: str, callers: list[str]) -> list[str]:
+    """Defaulted parameters of the `def`s in `defining` that no call in
+    `callers` passes, by keyword, by position or via `*`/`**`."""
+    passed = passed_arguments(callers)
+    dead = []
+    for name, param, pos in defaulted_params(defining):
+        most, keywords = passed.get(name, (0, set()))
+        if not (param in keywords or "**" in keywords or pos is not None and pos < most):
+            dead.append(f"{name}({param})")
+    return dead
+
+
+def test_unpassed_defaults_detects_and_ignores():
+    defining = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    def inner(x=0):\n"
+        "        return x\n"
+        "    return inner()\n"
+        "class K:\n"
+        "    def __init__(self, n=1, m=2):\n"
+        "        self.n = n\n"
+        "    def tick(self, step=1, size=2):\n"
+        "        return step\n"
+        "    @staticmethod\n"
+        "    def make(rows, cols=None):\n"
+        "        return rows\n"
+        "def g(p=0, q=0):\n"
+        "    return f(p, *q)\n"
+    )
+    callers = [defining, "f(0, 1, d=2)\nK(3)\nK().tick(1)\nK.make(1, 2)\ng(**{})\n"]
+    assert unpassed_defaults(defining, callers) == [
+        "f(e)", "inner(x)", "K(m)", "tick(size)"
+    ]
+
+
+def test_no_defaulted_parameter_goes_unpassed():
+    # A default that no caller overrides is a constant dressed up as a
+    # parameter; name it as a constant in the module instead.
+    root = SRC.parent.parent
+    callers = [
+        p.read_text(encoding="utf-8")
+        for pattern in ("src/**/*.py", "tests/**/*.py", "perfbench/**/*.py")
+        for p in sorted(root.glob(pattern))
+    ]
+    dead = {
+        module: unpassed_defaults((SRC / module).read_text(encoding="utf-8"), callers)
+        for module in MODULES
+    }
+    assert {m: d for m, d in dead.items() if d} == {}

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from datalin import zsolve
+from datalin import calculus, zsolve
 from datalin.calculus import CapExceeded
 from datalin.core import (
     DataVector,
@@ -200,3 +200,12 @@ def test_general_extraction_factors_each_layer_once(monkeypatch, inst):
     for size in range(inst.arity + 1):
         m = IntMatrix.from_columns(list(layer_weights(family, size)), nrows=inst.dim)
         assert factored.count(m) == 1
+
+
+@pytest.mark.parametrize("cap", ["_MAX_STEPS", "_MAX_TERMS"])
+def test_extraction_past_a_cap_raises_cap_exceeded(monkeypatch, ex2, cap):
+    # ex2's target is no renamed generator copy, so it needs a decomposition
+    assert extract_witness_general(ex2) is not None
+    monkeypatch.setattr(calculus, cap, 1)
+    with pytest.raises(CapExceeded):
+        extract_witness_general(ex2)
