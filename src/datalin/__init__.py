@@ -19,6 +19,7 @@ from .core import (
     dv_sub,
     encode_hypergraph,
     equivalent,
+    renaming_onto,
     weight,
 )
 from .intlin import (

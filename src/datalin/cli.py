@@ -7,10 +7,17 @@ integers and are interned to internal integer ids; values beyond 53 bits
 must be decimal strings, and emitted values are always decimal strings so
 the format is lossless.
 
+Every command takes one path through `main`: the parser built at import,
+one load of the instance file (for all but `gen`), handed to the command as
+(args, inst, table), and one error boundary.  Input problems raise
+`FormatError` where the input is read or checked; any other exception is
+an internal error.
+
 Exit codes: 0 solvable/verified, 1 not solvable/not verified, 2 usage or
-parse error, 3 inconclusive (a resource cap truncated the search), 4
-internal error (a construction or a computed answer failed its own
-consistency check).
+input error (also an unreadable, non-UTF-8 or too deeply nested file and a
+negative option value), 3 inconclusive (a resource cap truncated the
+search), 4 internal error (any other failure inside the library, such as a
+construction or a computed answer failing its own consistency check).
 """
 
 from __future__ import annotations
@@ -19,17 +26,10 @@ import argparse
 import json
 import random
 import sys
-from typing import Any, Optional
+from typing import Any
 
-from .calculus import CalculusError, CapExceeded
-from .core import (
-    Atom,
-    DataVector,
-    Instance,
-    ShapeError,
-    VerificationError,
-    dv_combine,
-)
+from .calculus import CapExceeded
+from .core import Atom, DataVector, Instance, ShapeError, dv_combine
 from .nsolve import n_solvable
 from .oracle import OracleConfig, OracleGuardError, brute_force
 from .witness import (
@@ -65,7 +65,7 @@ class AtomTable:
             return raw
         if isinstance(raw, str):
             # renaming keys are JSON strings even for numeric atoms
-            return int(raw) if raw.isdigit() else raw
+            return _parse_int(raw, "atom") if raw.isdecimal() else raw
         raise FormatError("atoms must be strings or nonnegative integers")
 
     def intern(self, raw: Any) -> Atom:
@@ -96,10 +96,6 @@ def _parse_int(raw: Any, where: str) -> int:
             f"{where}: integers beyond 53 bits must be decimal strings"
         )
     raise FormatError(f"{where}: expected an integer")
-
-
-def _emit_int(x: int) -> str:
-    return str(x)
 
 
 def parse_data_vector(
@@ -154,7 +150,7 @@ def emit_data_vector(v: DataVector, table: AtomTable) -> list:
     return [
         {
             "set": [table.name_of(a) for a in key],
-            "value": [_emit_int(x) for x in val],
+            "value": [str(x) for x in val],
         }
         for key, val in sorted(v.entries.items())
     ]
@@ -170,7 +166,7 @@ def emit_instance(inst: Instance, table: AtomTable) -> dict:
 
 
 def parse_witness(raw: Any, table: AtomTable) -> Witness:
-    if not isinstance(raw, dict) or "terms" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list):
         raise FormatError('witness: expected {"terms": […]}')
     terms = []
     for i, ent in enumerate(raw["terms"]):
@@ -203,9 +199,7 @@ def emit_witness(w: Witness, table: AtomTable) -> dict:
     return {
         "terms": [
             {
-                "coeff": t.coeff
-                if abs(t.coeff) <= _MAX_SAFE
-                else _emit_int(t.coeff),
+                "coeff": t.coeff if abs(t.coeff) <= _MAX_SAFE else str(t.coeff),
                 "generator": t.generator,
                 "renaming": {
                     str(table.name_of(a)): table.name_of(b)
@@ -225,6 +219,10 @@ def _load(path: str):
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}") from None
+    except ValueError as exc:  # not UTF-8, or an integer beyond int's digit limit
+        raise FormatError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _dump_json(obj: Any) -> None:
@@ -233,42 +231,34 @@ def _dump_json(obj: Any) -> None:
 
 def _report(args, line: str, payload: dict) -> None:
     print(line)
-    if getattr(args, "json", False):
+    if args.json:
         _dump_json(payload)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments, the instance and its atom table
 
 
-def cmd_zsolve(args) -> int:
-    table = AtomTable()
-    inst = parse_instance(_load(args.path), table)
+def cmd_zsolve(args, inst: Instance, table: AtomTable) -> int:
     ok = z_solvable(inst)
     payload: dict = {"command": "zsolve", "solvable": ok}
-    if ok and getattr(args, "json", False):
-        payload["witness"] = _try_extract_json(inst, table)
+    if ok and args.json:
+        try:
+            w = extract_witness_general(inst)
+        except CapExceeded:
+            w = None
+        payload["witness"] = None if w is None else emit_witness(w, table)
     _report(args, "Z-SOLVABLE" if ok else "NOT-Z-SOLVABLE", payload)
     return 0 if ok else 1
 
 
-def _try_extract_json(inst: Instance, table: AtomTable) -> Optional[dict]:
-    try:
-        w = extract_witness_general(inst)
-    except CapExceeded:
-        return None
-    return emit_witness(w, table) if w is not None else None
-
-
-def cmd_nsolve(args) -> int:
-    table = AtomTable()
-    inst = parse_instance(_load(args.path), table)
+def cmd_nsolve(args, inst: Instance, table: AtomTable) -> int:
     dec = n_solvable(inst, coeff_cap=args.cap)
     payload = {
         "command": "nsolve",
         "status": dec.status,
-        "coeff_bound": _emit_int(dec.bounds.coeff_bound),
-        "support_size": _emit_int(dec.bounds.support_size),
+        "coeff_bound": str(dec.bounds.coeff_bound),
+        "support_size": str(dec.bounds.support_size),
     }
     if dec.status == "SOLVABLE" and dec.guess is not None:
         payload["nonreversible_part"] = [
@@ -289,9 +279,7 @@ def cmd_nsolve(args) -> int:
     return {"SOLVABLE": 0, "UNSOLVABLE": 1, "INCONCLUSIVE": 3}[dec.status]
 
 
-def cmd_check_local(args) -> int:
-    table = AtomTable()
-    inst = parse_instance(_load(args.path), table)
+def cmd_check_local(args, inst: Instance, table: AtomTable) -> int:
     report = local_check(inst)
     payload = {
         "command": "check-local",
@@ -299,7 +287,7 @@ def cmd_check_local(args) -> int:
         "failures": [
             {
                 "subset": [table.name_of(a) for a in f.subset],
-                "target_weight": [_emit_int(x) for x in f.target_weight],
+                "target_weight": [str(x) for x in f.target_weight],
             }
             for f in report.failures
         ],
@@ -313,27 +301,21 @@ def cmd_check_local(args) -> int:
     return 0 if report.decision else 1
 
 
-def cmd_witness(args) -> int:
-    table = AtomTable()
-    inst = parse_instance(_load(args.path), table)
+def cmd_witness(args, inst: Instance, table: AtomTable) -> int:
     try:
         w = extract_witness_general(inst)
     except CapExceeded:
         _report(args, "INCONCLUSIVE", {"command": "witness", "status": "cap"})
         return 3
     if w is None:
-        _report(
-            args, "NO-WITNESS", {"command": "witness", "witness": None}
-        )
+        _report(args, "NO-WITNESS", {"command": "witness", "witness": None})
         return 1
     print("WITNESS-FOUND")
     _dump_json(emit_witness(w, table))
     return 0
 
 
-def cmd_verify(args) -> int:
-    table = AtomTable()
-    inst = parse_instance(_load(args.path), table)
+def cmd_verify(args, inst: Instance, table: AtomTable) -> int:
     w = parse_witness(_load(args.witness_path), table)
     try:
         ok = verify_witness(inst, w, args.mode)
@@ -347,16 +329,12 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_oracle(args) -> int:
-    table = AtomTable()
-    inst = parse_instance(_load(args.path), table)
+def cmd_oracle(args, inst: Instance, table: AtomTable) -> int:
     cfg = OracleConfig(args.coeff_bound, args.fresh, args.mode)
     try:
         w = brute_force(inst, cfg)
     except OracleGuardError as exc:
-        _report(
-            args, "INCONCLUSIVE", {"command": "oracle", "status": str(exc)}
-        )
+        _report(args, "INCONCLUSIVE", {"command": "oracle", "status": str(exc)})
         return 3
     if w is None:
         _report(args, "ORACLE-ABSENT", {"command": "oracle", "witness": None})
@@ -367,9 +345,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    for flag in ("arity", "dim", "gens", "weight_range"):
-        if getattr(args, flag) < 1:
-            raise FormatError(f"--{flag.replace('_', '-')} must be at least 1")
     rng = random.Random(args.seed)
     atoms = [f"a{i}" for i in range(args.atoms)]
     if args.atoms < args.arity:
@@ -468,23 +443,34 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--gens", type=int, default=2)
     gp.add_argument("--weight-range", type=int, default=2)
     gp.add_argument("--seed", type=int, default=0)
-    gp.set_defaults(func=cmd_gen)
     return p
 
 
+PARSER = build_parser()
+
+# The least valid value of each option that counts or bounds something.
+_LEAST = {"arity": 1, "dim": 1, "gens": 1, "weight_range": 1,
+          "cap": 0, "coeff_bound": 0, "fresh": 0}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (FormatError, ShapeError, ValueError) as exc:
+        for opt, least in _LEAST.items():
+            if opt in args and getattr(args, opt) < least:
+                raise FormatError(f"--{opt.replace('_', '-')} must be at least {least}")
+        if args.command == "gen":
+            return cmd_gen(args)
+        table = AtomTable()
+        return args.func(args, parse_instance(_load(args.path), table), table)
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CalculusError, VerificationError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 # Atoms are canonical nonnegative integers.  Input files may use arbitrary
 # strings; the cli module interns them to integers at parse time.
@@ -264,56 +264,61 @@ def hg_sub(g: Hypergraph, h: Hypergraph) -> Hypergraph:
     return hg_add(g, hg_scale(-1, h))
 
 
-def _weight_profile(h: Hypergraph, v: Atom) -> tuple:
-    """Isomorphism-invariant pruning signature of a nonisolated vertex."""
-    incident = sorted(
-        (len(key), tuple(val)) for key, val in h.mu.items() if v in key
-    )
-    return tuple(incident)
+def _incidence(mu: Mapping[KSet, IntVector]) -> dict[Atom, tuple]:
+    """Isomorphism-invariant pruning signature of each atom of mu's keys:
+    its incident (key size, value) pairs, sorted."""
+    incident: dict[Atom, list] = {}
+    for key, val in mu.items():
+        for v in key:
+            incident.setdefault(v, []).append((len(key), tuple(val)))
+    return {v: tuple(sorted(pairs)) for v, pairs in incident.items()}
 
 
-def equivalent(g: Hypergraph, h: Hypergraph) -> bool:
-    """True iff g and h are isomorphic after removing isolated vertices.
+def renaming_onto(
+    a: Mapping[KSet, IntVector], b: Mapping[KSet, IntVector]
+) -> Optional[dict[Atom, Atom]]:
+    """The first bijection from the atoms of a's keys onto those of b's that
+    carries a's entries onto b's, in lexicographic order of the images of
+    a's sorted atoms; None when there is none.  Keys must be nonempty sorted
+    k-sets.
 
-    Backtracking search over weight-preserving vertex bijections with
-    signature pruning; complete, intended for small vertex counts."""
-    if g.arity != h.arity or g.dim != h.dim:
-        raise ShapeError(f"shape mismatch: ({g.arity},{g.dim}) vs ({h.arity},{h.dim})")
-    gv = sorted(g.nonisolated())
-    hv = sorted(h.nonisolated())
-    if len(gv) != len(hv) or len(g.mu) != len(h.mu):
-        return False
-    gsig = {v: _weight_profile(g, v) for v in gv}
-    hsig = {v: _weight_profile(h, v) for v in hv}
-    if sorted(gsig.values()) != sorted(hsig.values()):
-        return False
+    Backtracking over a's atoms in sorted order, trying only images with the
+    same signature and checking each entry once its largest atom is mapped;
+    complete, intended for small atom counts."""
+    asig, bsig = _incidence(a), _incidence(b)
+    if sorted(asig.values()) != sorted(bsig.values()):
+        return None
+    av, bv = sorted(asig), sorted(bsig)
+    closed_by: dict[Atom, list] = {v: [] for v in av}
+    for key, val in a.items():
+        closed_by[key[-1]].append((key, val))
+    mapping: dict[Atom, Atom] = {}
 
-    def extend(i: int, mapping: dict[Atom, Atom], used: set[Atom]) -> bool:
-        if i == len(gv):
-            return all(
-                h.mu.get(kset(mapping[a] for a in key)) == val
-                for key, val in g.mu.items()
-            )
-        v = gv[i]
-        for w in hv:
-            if w in used or hsig[w] != gsig[v]:
+    def extend(i: int) -> bool:
+        if i == len(av):
+            return True
+        v = av[i]
+        for w in bv:
+            if bsig[w] != asig[v] or w in mapping.values():
                 continue
             mapping[v] = w
-            used.add(w)
-            # check edges fully inside the partial mapping as we go
-            ok = True
-            for key, val in g.mu.items():
-                if v in key and all(a in mapping for a in key):
-                    if h.mu.get(kset(mapping[a] for a in key)) != val:
-                        ok = False
-                        break
-            if ok and extend(i + 1, mapping, used):
+            if all(
+                b.get(tuple(sorted(mapping[x] for x in key))) == val
+                for key, val in closed_by[v]
+            ) and extend(i + 1):
                 return True
-            used.discard(w)
             del mapping[v]
         return False
 
-    return extend(0, {}, set())
+    return mapping if extend(0) else None
+
+
+def equivalent(g: Hypergraph, h: Hypergraph) -> bool:
+    """True iff g and h are isomorphic after removing isolated vertices
+    (`renaming_onto` finds a weight-preserving vertex bijection)."""
+    if g.arity != h.arity or g.dim != h.dim:
+        raise ShapeError(f"shape mismatch: ({g.arity},{g.dim}) vs ({h.arity},{h.dim})")
+    return renaming_onto(g.mu, h.mu) is not None
 
 
 @dataclass(frozen=True)

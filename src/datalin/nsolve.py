@@ -116,23 +116,6 @@ def _bound(
     return NBoundData(coeff_bound, s_max, supp_size + s_max * coeff_bound)
 
 
-def _copy_placements(sup, known_pool, next_fresh, fresh_budget):
-    """Injective images of `sup` into known atoms plus canonically numbered
-    new fresh atoms; yields (image, fresh_used)."""
-    n = len(sup)
-    for r in range(0, min(n, fresh_budget) + 1):
-        fresh_atoms = list(range(next_fresh, next_fresh + r))
-        for pos_f in itertools.combinations(range(n), r):
-            rest = [i for i in range(n) if i not in pos_f]
-            for old in itertools.permutations(known_pool, n - r):
-                image: list[Atom] = [0] * n
-                for idx, p in enumerate(pos_f):
-                    image[p] = fresh_atoms[idx]
-                for idx, p in enumerate(rest):
-                    image[p] = old[idx]
-                yield tuple(image), r
-
-
 def n_solvable(
     inst: Instance,
     coeff_cap: int = 10_000,
@@ -169,22 +152,46 @@ def n_solvable(
     fresh = FreshAtoms(inst.all_atoms())
     fresh_base = fresh.take()  # first canonical fresh atom id
 
-    def placements(copies, known_fresh, terms):
-        """Canonical placements of the remaining copies, depth first; yields
-        each full guess as a list of (generator index, renaming)."""
-        if not copies:
-            yield terms
-            return
-        gi = copies[0]
+    def options(gi, known_fresh):
+        """One copy of generator gi placed canonically: its support mapped
+        injectively into the target support and the fresh atoms used so
+        far, some positions onto canonically numbered new fresh atoms;
+        yields ((gi, renaming), fresh atoms used with it)."""
         sup = sorted(gens[gi].support())
+        n = len(sup)
         pool = supp + [fresh_base + j for j in range(known_fresh)]
-        fresh_budget = bounds.s_max * total_cap - known_fresh
-        for image, used in _copy_placements(
-            sup, pool, fresh_base + known_fresh, fresh_budget
-        ):
-            yield from placements(
-                copies[1:], known_fresh + used, terms + [(gi, dict(zip(sup, image)))]
-            )
+        new_base = fresh_base + known_fresh
+        for r in range(0, min(n, bounds.s_max * total_cap - known_fresh) + 1):
+            for pos_f in itertools.combinations(range(n), r):
+                new = dict(zip(pos_f, range(new_base, new_base + r)))
+                for old in itertools.permutations(pool, n - r):
+                    olds = iter(old)
+                    ren = {
+                        a: new[i] if i in new else next(olds) for i, a in enumerate(sup)
+                    }
+                    yield (gi, ren), known_fresh + r
+
+    def placements(copies):
+        """Every canonical placement of the copies, depth first on an
+        explicit stack (one frame per placed copy, so any number of copies
+        fits); yields each full guess as a list of (generator index,
+        renaming)."""
+        if not copies:
+            yield []
+            return
+        terms: list = []
+        frames = [options(copies[0], 0)]
+        while frames:
+            step = next(frames[-1], None)
+            if step is None:
+                frames.pop()
+                continue
+            del terms[len(frames) - 1:]
+            terms.append(step[0])
+            if len(terms) == len(copies):
+                yield list(terms)
+            else:
+                frames.append(options(copies[len(terms)], step[1]))
 
     def guesses():
         for total in range(0, total_cap + 1):
@@ -196,7 +203,7 @@ def n_solvable(
                 if rev.layer(0).factor.solve(needed) is None:
                     continue
                 copies = [i for c, i in zip(counts, nonrev) for _ in range(c)]
-                yield from placements(copies, 0, [])
+                yield from placements(copies)
 
     for tried, terms in enumerate(guesses(), start=1):
         if tried > guess_cap:

@@ -9,7 +9,6 @@ the target through simple hypergraphs of the generator family.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -20,7 +19,7 @@ from .core import (
     FreshAtoms,
     Instance,
     dv_combine,
-    dv_permute,
+    renaming_onto,
 )
 from .zsolve import GeneratorLayers
 
@@ -80,19 +79,15 @@ def verify_witness(inst: Instance, w: Witness, mode: str = "Z") -> bool:
 
 
 def _single_copy_witness(inst: Instance) -> Optional[Witness]:
-    """A one-term witness when the target is a renamed generator copy of
-    support at most 8 (8! renamings per generator)."""
-    tsup = sorted(inst.target.support())
-    if len(tsup) > 8:
+    """A one-term witness when the target, of support at most 8, is a
+    renamed generator copy: the first generator `core.renaming_onto`
+    carries onto it, with that renaming."""
+    if len(inst.target.support()) > 8:
         return None
     for gi, gen in enumerate(inst.generators):
-        gsup = sorted(gen.support())
-        if len(gsup) != len(tsup):
-            continue
-        for image in itertools.permutations(tsup):
-            ren = dict(zip(gsup, image))
-            if dv_permute(gen, ren) == inst.target:
-                return make_witness([(1, gi, ren)])
+        ren = renaming_onto(gen.entries, inst.target.entries)
+        if ren is not None:
+            return make_witness([(1, gi, ren)])
     return None
 
 

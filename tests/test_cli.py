@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from datalin.cli import (
 )
 from datalin import calculus, intlin
 from datalin.calculus import CalculusError
-from datalin.core import DataVector, Instance, VerificationError
+from datalin.core import DataVector, Instance, ShapeError, VerificationError
 from datalin.witness import WitnessTerm, Witness, extract_witness_general
 
 from conftest import (
@@ -259,6 +260,24 @@ def test_format_error_exit_code_2(tmp_path, capsys):
     assert main(["zsolve", str(p)]) == 2
     missing = write(tmp_path, "missing.json", {"arity": 1})
     assert main(["zsolve", missing]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"arity": "\xe9"}'.encode("latin-1"))
+    assert main(["zsolve", str(latin1)]) == 2
+    # integers beyond int's 4300-digit limit, as a JSON number or an atom name
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"arity": ' + "7" * 5000 + "}")
+    assert main(["zsolve", str(huge)]) == 2
+    long_atom = dict(EX1, target=[{"set": ["7" * 5000], "value": ["1"]}])
+    long_atom = write(tmp_path, "atom.json", long_atom)
+    assert main(["zsolve", long_atom]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_non_decimal_digit_atoms_are_names(tmp_path):
+    # "²" counts as a digit but int() refuses it: it stays a string atom
+    sup = dict(EX1, target=[{"set": ["\u00b2"], "value": ["2"]}])
+    path = write(tmp_path, "sup.json", sup)
+    assert main(["zsolve", path]) == 0
 
 
 def test_gen_is_byte_stable(capsys):
@@ -270,20 +289,100 @@ def test_gen_is_byte_stable(capsys):
     assert inst.arity == 2
 
 
+def run_cli(*argv):
+    """`python -m datalin.cli` in a subprocess, where a traceback would reach
+    stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "datalin.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--gens", "0"], ["--gens", "-1"], ["--dim", "0"], ["--weight-range", "0"],
      ["--arity", "0"]],
 )
 def test_gen_rejects_nonpositive_sizes(flags):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    out = subprocess.run(
-        [sys.executable, "-m", "datalin.cli", "gen", *flags],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    out = run_cli("gen", *flags)
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+def test_deeply_nested_file_is_an_input_error(tmp_path):
+    # json.load gives up on it with a RecursionError
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    out = run_cli("zsolve", str(p))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nsolve", "--cap", "-1"], ["oracle", "--coeff-bound", "-1"],
+     ["oracle", "--fresh", "-1"]],
+)
+def test_negative_option_values_are_input_errors(tmp_path, capsys, argv):
+    path = write(tmp_path, "ex1.json", EX1)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_library_shape_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a ShapeError raised inside the library is a bug, not bad input
+    def broken(inst):
+        raise ShapeError("shape mismatch: (2,1) vs (1,1)")
+
+    monkeypatch.setattr("datalin.cli.extract_witness_general", broken)
+    path = write(tmp_path, "ex2.json", EX2)
+    assert main(["witness", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: shape mismatch")
+    assert "Traceback" not in err
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write(tmp_path, "ex1.json", EX1)
+    assert main(["zsolve", path]) == 0
+    assert main(["check-local", "--json", path]) == 0
+    assert built == []
+
+
+# Exact (exit code, stdout) of each command on the examples and on their odd
+# targets, which no command's output may change.  Keys are "<instance>
+# <command and flags>"; W stands for the witness file, which holds the
+# witness that `witness` prints for the instance's solvable example.
+GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
+GOLDEN_INSTANCES = {
+    "ex1": EX1,
+    "ex1_odd": dict(EX1, target=[{"set": ["b"], "value": ["3"]}]),
+    "ex2": EX2,
+    "ex2_odd": dict(EX2, target=[{"set": ["g", "d"], "value": ["3"]}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_match_the_golden_record(tmp_path, capsys, case):
+    name, command, *flags = case.split()
+    path = write(tmp_path, f"{name}.json", GOLDEN_INSTANCES[name])
+    witness = GOLDEN[f"{name.split('_')[0]} witness"][1].splitlines()[1]
+    wpath = tmp_path / "w.json"
+    wpath.write_text(witness)
+    flags = [str(wpath) if f == "W" else f for f in flags]
+    code = main([command, path, *flags])
+    assert [code, capsys.readouterr().out] == GOLDEN[case]
 
 
 def test_json_flag_emits_machine_report(tmp_path, capsys):

@@ -316,3 +316,56 @@ def test_no_defaulted_parameter_goes_unpassed():
         for module in MODULES
     }
     assert {m: d for m, d in dead.items() if d} == {}
+
+
+def unmapped_input_errors(source: str) -> list[int]:
+    """Lines of `except` clauses that catch `ValueError` or `ShapeError`
+    (bare, as an attribute or in a tuple) without raising `FormatError` in
+    their body."""
+    def named(node: ast.AST) -> str | None:
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if not {"ValueError", "ShapeError"} & {named(c) for c in caught}:
+            continue
+        raised = [
+            n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Raise) and n.exc is not None
+        ]
+        if "FormatError" not in {named(r) for r in raised}:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_unmapped_input_errors_detects_and_ignores():
+    src = (
+        "try:\n"
+        "    f()\n"
+        "except ValueError:\n"
+        "    raise FormatError('bad') from None\n"
+        "except (ShapeError, IndexError) as exc:\n"
+        "    raise FormatError(str(exc))\n"
+        "except (FormatError, core.ShapeError) as exc:\n"
+        "    print(exc)\n"
+        "except OSError:\n"
+        "    pass\n"
+        "except ShapeError:\n"
+        "    raise\n"
+        "except Exception:\n"
+        "    pass\n"
+    )
+    assert unmapped_input_errors(src) == [7, 11]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_caught_value_errors_become_input_errors(module):
+    # Input problems are `FormatError`s, raised where the input is read or
+    # checked; a `ValueError` or `ShapeError` caught anywhere else would
+    # report a bug inside the library as bad input.
+    assert unmapped_input_errors((SRC / module).read_text(encoding="utf-8")) == []

@@ -192,6 +192,16 @@ def test_guess_cap_counts_every_guess_of_an_exhausted_search(ex1):
     assert n_solvable(ex1, guess_cap=2).status == "INCONCLUSIVE"
 
 
+def test_placement_walk_takes_any_number_of_copies():
+    # 1,500 copies of one generator: a walk that recursed once per placed
+    # copy would pass Python's recursion limit
+    gen = DataVector(1, 1, {(0,): (1,)})
+    inst = Instance(1, 1, (gen,), DataVector(1, 1, {(1,): (1500,)}))
+    dec = n_solvable(inst, coeff_cap=3_000_000)
+    assert dec.status == "SOLVABLE"
+    assert dec.guess == ((0, ((0, 1),)),) * 1500
+
+
 def test_n_solvable_projects_each_generator_once(monkeypatch):
     projected = spy(monkeypatch, nsolve, "data_projection")
     gen = pair_generator()

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from datalin import calculus, zsolve
 from datalin.calculus import CapExceeded
@@ -13,6 +13,7 @@ from datalin.core import (
     dv_permute,
     dv_scale,
     encode_hypergraph,
+    renaming_onto,
 )
 from datalin.intlin import IntMatrix
 from datalin.witness import (
@@ -21,6 +22,7 @@ from datalin.witness import (
     evaluate_witness,
     extract_witness_general,
     extract_witness_k2,
+    _single_copy_witness,
     make_witness,
     verify_witness,
 )
@@ -141,6 +143,41 @@ def test_single_copy_fast_path():
     w = extract_witness_general(inst)
     assert w is not None and verify_witness(inst, w, mode="Z")
     assert len(w.terms) == 1 and w.terms[0].coeff == 1
+
+
+def first_renaming_by_permutation(a, b):
+    """Reference search: the first renaming of a's sorted support, over the
+    permutations of b's sorted support in lexicographic order, that carries
+    a onto b."""
+    asup, bsup = sorted(a.support()), sorted(b.support())
+    if len(asup) != len(bsup):
+        return None
+    for image in itertools.permutations(bsup):
+        ren = dict(zip(asup, image))
+        if dv_permute(a, ren) == b:
+            return ren
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_renaming_search_matches_the_permutation_loop(data):
+    k = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 2))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    atoms = range(k + 3)
+    # values in -1..1 leave many symmetric copies, so the order matters
+    gens = tuple(random_data_vector(rng, k, d, atoms, -1, 1) for _ in range(2))
+    if data.draw(st.booleans()):
+        image = rng.sample(range(12), len(atoms))
+        target = dv_permute(gens[rng.randrange(2)], dict(zip(atoms, image)))
+    else:
+        target = random_data_vector(rng, k, d, atoms, -1, 1)
+    found = [first_renaming_by_permutation(g, target) for g in gens]
+    assert [renaming_onto(g.entries, target.entries) for g in gens] == found
+    hits = [(1, gi, ren) for gi, ren in enumerate(found) if ren is not None]
+    expected = make_witness(hits[:1]) if hits else None
+    assert _single_copy_witness(Instance(k, d, gens, target)) == expected
 
 
 def test_extract_witness_arity_three():
