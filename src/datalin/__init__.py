@@ -26,7 +26,6 @@ from .intlin import (
     IntMatrix,
     cone_member,
     cone_member_certificate,
-    n_solve_bounded,
     pottier_base_bound,
     rank,
     rank_full,
@@ -40,14 +39,11 @@ from .calculus import (
     SimpleSpec,
     construct_simple,
     cut,
-    enrich,
     express_via_simple,
     is_m_isolated,
-    is_pre_m_isolated,
     kneser_full_rank,
     proportionality_check,
     reduction_matrix,
-    swap,
     verify_simple,
 )
 from .witness import (

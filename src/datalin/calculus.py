@@ -1,6 +1,6 @@
-"""Constructive hypergraph toolbox: reduction matrices, cut/enrich/swap,
-isolation predicates, simple hypergraphs and their constructive expression
-as combinations of renamed copies of a source hypergraph.
+"""Constructive hypergraph toolbox: reduction matrices, cut, isolation
+predicates, simple hypergraphs and their constructive expression as
+combinations of renamed copies of a source hypergraph.
 
 A *(m,a)-simple* k-hypergraph lives on pairwise disjoint vertex sets A, B, C
 with |A| = |B| = m, |C| = 2(k-m)-1 (C empty when m = k), carries weight
@@ -94,7 +94,7 @@ def kneser_full_rank(k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cut / enrich / swap
+# cut
 
 
 def cut(h: Hypergraph, x) -> Hypergraph:
@@ -113,28 +113,6 @@ def cut(h: Hypergraph, x) -> Hypergraph:
     return Hypergraph(h.vertices - xs, h.arity - len(xs), h.dim, mu)
 
 
-def enrich(h: Hypergraph, x) -> Hypergraph:
-    """Minimal (k+|x|)-hypergraph whose x-cut is h: every hyperedge gains x."""
-    xs = frozenset(x)
-    if xs & h.vertices:
-        raise ShapeError("x must be disjoint from the vertex set")
-    mu = {kset(set(key) | xs): val for key, val in h.mu.items()}
-    return Hypergraph(h.vertices | xs, h.arity + len(xs), h.dim, mu)
-
-
-def swap(h: Hypergraph, alpha: Atom, alpha_prime: Atom) -> Hypergraph:
-    """Exchange a vertex with an atom outside the vertex set."""
-    if alpha not in h.vertices:
-        raise ShapeError("alpha must be a vertex")
-    if alpha_prime in h.vertices:
-        raise ShapeError("alpha_prime must not be a vertex")
-    mu = {
-        kset(alpha_prime if a == alpha else a for a in key): val
-        for key, val in h.mu.items()
-    }
-    return Hypergraph((h.vertices - {alpha}) | {alpha_prime}, h.arity, h.dim, mu)
-
-
 # ---------------------------------------------------------------------------
 # isolation predicates and weight identities
 
@@ -144,20 +122,6 @@ def is_m_isolated(h: Hypergraph, m: int) -> bool:
     if not 0 <= m <= h.arity:
         raise ShapeError("need 0 <= m <= arity")
     return not any(nonzero_weight_sets(h, size) for size in range(m + 1))
-
-
-def is_pre_m_isolated(h: Hypergraph, m: int) -> bool:
-    """(m-1)-isolated, with all nonzero m-weights confined to one vertex set
-    of size at most 2m-1.  The union of atoms of the nonzero m-weight sets is
-    the unique minimal candidate, so the check is exact."""
-    if not 1 <= m <= h.arity:
-        raise ShapeError("need 1 <= m <= arity")
-    if not is_m_isolated(h, m - 1):
-        return False
-    x0: set[Atom] = set()
-    for x in nonzero_weight_sets(h, m):
-        x0.update(x)
-    return len(x0) <= 2 * m - 1
 
 
 def proportionality_check(h: Hypergraph, x, l: int) -> bool:
@@ -357,7 +321,7 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
         return hg, spec, terms
 
     # m == 0, k >= 2: eliminate vertices until at most 2k-1 remain
-    current = Hypergraph(frozenset(support), k, d, dict(g.mu))
+    current = Hypergraph(frozenset(support), k, d, g.as_data_vector())
     terms = [(1, {u: u for u in support})]  # identity copy
     while len(current.nonisolated()) > 2 * k - 1:
         ctx.tick()
@@ -413,7 +377,7 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
         terms = [(c, _compose(sigma, ren)) for c, ren in terms]
     pads = ctx.fresh.take_many(2 * k - 1 - len(base_vertices))
     verts = frozenset(base_vertices) | frozenset(pads)
-    hg = Hypergraph(verts, k, d, dict(current.mu))
+    hg = Hypergraph(verts, k, d, current.as_data_vector())
     return hg, SimpleSpec(0, a, (), (), tuple(sorted(verts))), terms
 
 
@@ -480,7 +444,7 @@ def _simple_with_value(
             fam_terms.append((coeff * c, gi, _compose(tau, ren)))
     ctx.check_terms(fam_terms)
     total = dv_combine(arity, dim, placed)
-    hg = Hypergraph(set(A) | set(B) | set(C), arity, dim, dict(total.entries))
+    hg = Hypergraph(set(A) | set(B) | set(C), arity, dim, total)
     spec = SimpleSpec(m, a, A, B, C)
     if not verify_simple(hg, spec):
         raise CalculusError("family combination failed simplicity check")

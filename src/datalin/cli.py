@@ -17,15 +17,18 @@ Exit codes: 0 solvable/verified, 1 not solvable/not verified, 2 usage or
 input error (also an unreadable, non-UTF-8 or too deeply nested file and a
 negative option value), 3 inconclusive (a resource cap truncated the
 search), 4 internal error (any other failure inside the library, such as a
-construction or a computed answer failing its own consistency check).
+construction or a computed answer failing its own consistency check),
+reported as one line that names the innermost frame it was raised in.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+import traceback
 from typing import Any
 
 from .calculus import CapExceeded
@@ -470,7 +473,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        message = str(exc) or type(exc).__name__
+        print(f"internal error: {message} (at {where})", file=sys.stderr)
         return 4
 
 

@@ -2,17 +2,18 @@
 
 A *data vector* is a finitely supported map from k-element sets of atoms to
 integer vectors of a fixed dimension d.  A *hypergraph* is the finite carrier
-of a data vector: an explicit vertex set (possibly with isolated vertices)
-together with the weight function on k-subsets.  All values are immutable
-after construction and all integers are arbitrary precision.
+of a data vector: the vector itself together with an explicit vertex set
+(possibly with isolated vertices).  All values are immutable after
+construction and all integers are arbitrary precision.
 
 Subset weights (the weight of a vertex set X is the sum of the values at
 the keys containing X) have one builder, `weight_table`: it adds each
 entry's value into each of its 2^k subsets (entries * 2^k additions) and
 keeps the nonzero weights, one sorted dict per subset size.  A hypergraph
 keeps the table of its `mu`, built on first use, for `weight` and
-`nonzero_weight_sets`, so `mu` must not be mutated after construction; a
-bare data vector's weights are read from `weight_table` directly.
+`nonzero_weight_sets`, so `mu` must not be mutated after construction.  A
+bare data vector keeps none (it may live as long as its instance, a
+hypergraph for one call): its weights are read from `weight_table`.
 
 Every sum of renamed, scaled copies is one `dv_combine` call, which adds
 each term's renamed values into one dict and canonicalises once (entries *
@@ -173,18 +174,25 @@ def dv_combine(
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Finite-vertex k-uniform hypergraph with Z^d edge weights.
-
-    The vertex set is explicit and may contain isolated vertices; zero-weight
-    hyperedges are not stored."""
+    """Finite-vertex k-uniform hypergraph with Z^d edge weights: one validated
+    `DataVector` and an explicit vertex set that covers its keys and may hold
+    isolated vertices.  `mu` is given as that vector (same arity and
+    dimension, kept as is) or as a mapping (validated through one), and is
+    then the vector's entries."""
 
     vertices: frozenset[Atom]
     arity: int
     dim: int
-    mu: Mapping[KSet, IntVector] = field(default_factory=dict)
+    mu: Mapping[KSet, IntVector] | DataVector = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        dv = DataVector(self.arity, self.dim, self.mu)  # canonicalize + validate
+        dv = self.mu
+        if not isinstance(dv, DataVector):
+            dv = DataVector(self.arity, self.dim, dv)  # canonicalize + validate
+        elif (dv.arity, dv.dim) != (self.arity, self.dim):
+            raise ShapeError(
+                f"shape mismatch: ({self.arity},{self.dim}) vs ({dv.arity},{dv.dim})"
+            )
         object.__setattr__(self, "mu", dv.entries)
         object.__setattr__(self, "_data_vector", dv)
         object.__setattr__(self, "vertices", frozenset(self.vertices))
@@ -193,8 +201,7 @@ class Hypergraph:
                 raise ShapeError(f"hyperedge {key} not within vertex set")
 
     def as_data_vector(self) -> DataVector:
-        """The validated vector `mu` was canonicalised through; it shares
-        `mu`'s dict, and both are immutable."""
+        """The validated vector whose entries are `mu`; both are immutable."""
         return self._data_vector
 
     def nonisolated(self) -> frozenset[Atom]:
@@ -228,8 +235,7 @@ def weight_table(a: DataVector) -> tuple[dict[KSet, IntVector], ...]:
 def encode_hypergraph(a: DataVector) -> Hypergraph:
     """Carrier hypergraph of a data vector: vertices are the atoms of the
     nonzero keys, weights are the restriction of the vector."""
-    verts = frozenset(atom for key in a.entries for atom in key)
-    return Hypergraph(verts, a.arity, a.dim, dict(a.entries))
+    return Hypergraph(a.support(), a.arity, a.dim, a)
 
 
 def weight(h: Hypergraph, x: Iterable[Atom]) -> IntVector:
@@ -252,16 +258,7 @@ def nonzero_weight_sets(h: Hypergraph, size: int) -> list[KSet]:
 def hg_add(g: Hypergraph, h: Hypergraph) -> Hypergraph:
     """Vertex sets unioned, weights added pointwise."""
     dv = dv_add(g.as_data_vector(), h.as_data_vector())
-    return Hypergraph(g.vertices | h.vertices, g.arity, g.dim, dict(dv.entries))
-
-
-def hg_scale(c: int, h: Hypergraph) -> Hypergraph:
-    dv = dv_scale(c, h.as_data_vector())
-    return Hypergraph(h.vertices, h.arity, h.dim, dict(dv.entries))
-
-
-def hg_sub(g: Hypergraph, h: Hypergraph) -> Hypergraph:
-    return hg_add(g, hg_scale(-1, h))
+    return Hypergraph(g.vertices | h.vertices, g.arity, g.dim, dv)
 
 
 def _incidence(mu: Mapping[KSet, IntVector]) -> dict[Atom, tuple]:
@@ -357,6 +354,3 @@ class FreshAtoms:
 
     def take_many(self, n: int) -> list[Atom]:
         return [self.take() for _ in range(n)]
-
-    def reserve(self, used: Iterable[Atom]) -> None:
-        self._next = max(self._next, max(used, default=-1) + 1)

@@ -8,8 +8,8 @@ is the one-shot `hnf(m).solve(y)`; callers that solve many right-hand sides
 against one matrix (a layer of the Z criterion) hold the factorisation
 instead; `rank` reads the pivot count of the same factorisation.  Also:
 membership in the nonnegative rational cone by an exact simplex with
-Bland's rule, and the exponential norm bound driving the bounded
-nonnegative search.  No floating point anywhere.
+Bland's rule, and Pottier's exponential norm bound on minimal nonnegative
+solutions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -165,40 +165,10 @@ def z_solve_system(m: IntMatrix, y: Sequence[int]) -> Optional[tuple[int, ...]]:
     return hnf(m).solve(y)
 
 
-def _graded_lex_boxes(n: int, bound: int):
-    """All x in N^n with ||x||_inf <= bound, graded by sum then lexicographic."""
-    for total in range(0, n * bound + 1):
-        def parts(rem: int, slots: int):
-            if slots == 0:
-                if rem == 0:
-                    yield ()
-                return
-            lo = max(0, rem - (slots - 1) * bound)
-            for first in range(min(bound, rem), lo - 1, -1):
-                for rest in parts(rem - first, slots - 1):
-                    yield (first, *rest)
-        yield from parts(total, n)
-
-
-def n_solve_bounded(
-    m: IntMatrix, y: Sequence[int], bound: int
-) -> Optional[tuple[int, ...]]:
-    """Exhaustive search for x in N^m with M*x = y and ||x||_inf <= bound.
-
-    Deterministic graded-lexicographic enumeration; the first solution found
-    is returned.  When bound >= pottier_base_bound(M, y), absence is a
-    certified NO (any minimal solution fits in the box)."""
-    if bound < 0:
-        raise ShapeError("bound must be nonnegative")
-    target = tuple(y)
-    for x in _graded_lex_boxes(m.cols, bound):
-        if m.mul_vec(x) == target:
-            return x
-    return None
-
-
 def pottier_base_bound(m: IntMatrix, y: Sequence[int]) -> int:
-    """(||M||_{1,inf} + ||y||_inf + 2) ** (rows + cols), exactly."""
+    """(||M||_{1,inf} + ||y||_inf + 2) ** (rows + cols), exactly.  When M*x = y
+    has no solution x in N^cols with ||x||_inf at most this bound, it has
+    none at all (any minimal solution fits in the box)."""
     return (matrix_one_inf_norm(m) + inf_norm(y) + 2) ** (m.rows + m.cols)
 
 

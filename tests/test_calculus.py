@@ -9,16 +9,13 @@ from datalin.calculus import (
     SimpleSpec,
     construct_simple,
     cut,
-    enrich,
     eval_terms,
     express_via_simple,
     is_m_isolated,
-    is_pre_m_isolated,
     kneser_full_rank,
     merge_terms,
     proportionality_check,
     reduction_matrix,
-    swap,
     verify_simple,
 )
 from datalin.core import (
@@ -29,7 +26,6 @@ from datalin.core import (
     dv_permute,
     dv_scale,
     encode_hypergraph,
-    hg_sub,
     weight,
 )
 
@@ -84,7 +80,7 @@ def test_kneser_full_rank(k):
 
 
 # ---------------------------------------------------------------------------
-# cut / enrich / swap
+# cut
 
 
 def tetrahedron(d=1):
@@ -113,20 +109,6 @@ def test_cut_rejects_bad_arguments():
         cut(tetrahedron(), {0, 1, 2})
 
 
-def test_enrich_inverts_cut():
-    g = encode_hypergraph(triangle(1, 2, 3))
-    e = enrich(g, {9})
-    assert e.arity == 3
-    assert dict(e.mu) == {
-        (1, 2, 9): (1,),
-        (1, 3, 9): (1,),
-        (2, 3, 9): (1,),
-    }
-    assert cut(e, {9}).as_data_vector() == g.as_data_vector()
-    with pytest.raises(ShapeError):
-        enrich(g, {1})
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_cut_weight_transfer(data):
@@ -143,15 +125,6 @@ def test_cut_weight_transfer(data):
         assert weight(c, y) == weight(h, tuple(sorted(set(y) | {alpha})))
 
 
-def test_swap_is_an_involution_and_preserves_outside_weights():
-    g = encode_hypergraph(triangle(0, 1, 2))
-    s = swap(g, 0, 9)
-    assert swap(s, 9, 0).mu == g.mu
-    diff = hg_sub(g, Hypergraph(g.vertices | {9}, 2, 1, dict(s.mu)))
-    for beta in (1, 2):
-        assert weight(diff, (beta,)) == (0,)
-
-
 # ---------------------------------------------------------------------------
 # isolation and proportionality
 
@@ -162,17 +135,6 @@ def test_is_m_isolated():
     g1 = Hypergraph(frozenset({0, 1, 2}), 2, 1, {(0, 2): (5,), (1, 2): (-5,)})
     assert is_m_isolated(g1, 0)
     assert not is_m_isolated(g1, 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_pre_m_isolated_implies_m_isolated(data):
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    k = data.draw(st.integers(1, 3))
-    h = random_hypergraph(rng, k, 1, range(k + 2))
-    for m in range(1, k + 1):
-        if is_pre_m_isolated(h, m):
-            assert is_m_isolated(h, m)
 
 
 @settings(max_examples=200, deadline=None)

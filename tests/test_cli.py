@@ -342,6 +342,8 @@ def test_library_shape_error_is_an_internal_error(tmp_path, capsys, monkeypatch)
     assert main(["witness", path]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: shape mismatch")
+    # the one line names where the failure was raised
+    assert "(at test_cli.py:" in err and " in broken)" in err
     assert "Traceback" not in err
 
 

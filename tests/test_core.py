@@ -23,7 +23,7 @@ from datalin.core import (
     weight_table,
 )
 
-from conftest import pair_generator, triangle
+from conftest import pair_generator, spy, triangle
 
 
 atoms_st = st.integers(min_value=0, max_value=6)
@@ -221,6 +221,8 @@ def hypergraphs(draw):
             st.tuples(*([st.integers(min_value=-2, max_value=2)] * d)),
         )
     )
+    if draw(st.booleans()):
+        mu = DataVector(k, d, mu)
     return Hypergraph(verts, k, d, mu)
 
 
@@ -257,6 +259,26 @@ def test_weight_is_additive():
     s = hg_add(g, h)
     for x in [(), (0,), (0, 1), (1, 2)]:
         assert weight(s, x) == (weight(g, x)[0] + weight(h, x)[0],)
+    assert s.as_data_vector() == dv_add(g.as_data_vector(), h.as_data_vector())
+
+
+def test_hypergraph_keeps_the_vector_it_is_given(monkeypatch):
+    dv = triangle(0, 1, 2)
+    built = spy(monkeypatch, DataVector, "__post_init__")
+    g = encode_hypergraph(dv)
+    assert built == []
+    assert g.as_data_vector() is dv
+    assert g.mu is dv.entries and g.vertices == frozenset({0, 1, 2})
+
+
+def test_hypergraph_checks_a_given_vector():
+    dv = triangle(0, 1, 2)
+    with pytest.raises(ShapeError):
+        Hypergraph(frozenset({0, 1, 2}), 3, 1, dv)
+    with pytest.raises(ShapeError):
+        Hypergraph(frozenset({0, 1, 2}), 2, 2, dv)
+    with pytest.raises(ShapeError):
+        Hypergraph(frozenset({0, 1}), 2, 1, dv)
 
 
 def test_equivalent_detects_isomorphism():
@@ -270,8 +292,7 @@ def test_fresh_atoms_are_new_and_monotone():
     fresh = FreshAtoms({3, 10})
     a, b = fresh.take(), fresh.take()
     assert a == 11 and b == 12
-    fresh.reserve({20})
-    assert fresh.take() == 21
+    assert fresh.take_many(2) == [13, 14]
 
 
 def test_instance_atoms_and_validation():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -16,7 +17,6 @@ from datalin.intlin import (
     hnf,
     inf_norm,
     matrix_one_inf_norm,
-    n_solve_bounded,
     one_norm,
     pottier_base_bound,
     rank,
@@ -166,14 +166,6 @@ def test_unbounded_phase1_raises_verification_error(monkeypatch):
         cone_member_certificate([(1, 0), (0, 1)], (1, 1))
 
 
-def test_n_solve_bounded():
-    m = IntMatrix.from_rows([[2, 3]])
-    assert n_solve_bounded(m, (8,), 4) in {(4, 0), (1, 2)}
-    assert n_solve_bounded(m, (1,), 10) is None
-    with pytest.raises(ShapeError):
-        n_solve_bounded(m, (1,), -1)
-
-
 def test_pottier_base_bound_values():
     assert pottier_base_bound(IntMatrix.from_rows([[2]]), (3,)) == 49
     assert (
@@ -182,8 +174,8 @@ def test_pottier_base_bound_values():
     )
     # bound certifies absence: 2a+4b=3 has no N-solution
     m = IntMatrix.from_rows([[2, 4]])
-    bound = pottier_base_bound(m, (3,))
-    assert n_solve_bounded(m, (3,), min(bound, 10)) is None
+    box = range(min(pottier_base_bound(m, (3,)), 10) + 1)
+    assert all(m.mul_vec(x) != (3,) for x in itertools.product(box, repeat=m.cols))
 
 
 def test_cone_membership():

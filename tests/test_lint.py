@@ -1,6 +1,7 @@
 """Static checks over the library source, using only the stdlib `ast`."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -369,3 +370,94 @@ def test_caught_value_errors_become_input_errors(module):
     # checked; a `ValueError` or `ShapeError` caught anywhere else would
     # report a bug inside the library as bad input.
     assert unmapped_input_errors((SRC / module).read_text(encoding="utf-8")) == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_DOTTED = re.compile(r"^\w+\.(\w+)$")
+
+
+def references(source: str, skip: str | None = None) -> set[str]:
+    """Names the source refers to: bare and attribute names, names taken by
+    `from ... import`, and the `name` of "module.name" string constants.
+    The module-level `def` or `class` named `skip` is not read, so that a
+    definition's references to itself do not count."""
+    found: set[str] = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, _DEFS) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                dotted = _DOTTED.match(node.value)
+                if dotted:
+                    found.add(dotted.group(1))
+    return found
+
+
+def unreached_public(library: dict[str, str], outside: list[str]) -> list[str]:
+    """Public module-level functions and classes of the `library` sources
+    (by module name) that no library source refers to outside their own
+    definition and no `outside` source refers to at all."""
+    reached = set().union(*map(references, outside))
+    unreached = []
+    for module, source in library.items():
+        elsewhere = reached.union(
+            *(references(other) for name, other in library.items() if name != module)
+        )
+        for node in ast.parse(source).body:
+            if not isinstance(node, _DEFS) or node.name.startswith("_"):
+                continue
+            if node.name not in elsewhere | references(source, node.name):
+                unreached.append(node.name)
+    return sorted(unreached)
+
+
+def test_unreached_public_detects_and_ignores():
+    library = {
+        "a.py": (
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def called():\n"
+            "    return 0\n"
+            "class Named:\n"
+            "    pass\n"
+            "def traced():\n"
+            "    pass\n"
+            "def imported():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    return called()\n"
+        ),
+        "b.py": "from . import a\nx = a.Named\n",
+    }
+    outside = ["from datalin.a import imported\n", 'TARGETS = (Target("a.traced"),)\n']
+    assert unreached_public(library, outside) == ["recursive"]
+
+
+# Public names that neither the library, the acceptance suite nor the
+# benchmark reaches, each kept for the reason given.
+TESTED_ONLY = {
+    "dv_permute": "documented one-call wrapper: a renamed copy, one dv_combine term",
+    "dv_sub": "documented one-call wrapper: a difference, two dv_combine terms",
+    "equivalent": "documented isomorphism test: one renaming_onto call",
+    "smooth": "kept until the N-side certificate work decides whether it needs it",
+}
+
+
+def test_every_public_name_is_reached():
+    # A public name that only tests reach is code kept alive by its tests.
+    # The acceptance suite's names stay, and so do the names the
+    # benchmark's tracer binds (directly or as "module.name" strings).
+    root = SRC.parent.parent
+    library = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES}
+    outside = [
+        p.read_text(encoding="utf-8")
+        for p in [root / "tests" / "test_acceptance.py", *sorted(root.glob("perfbench/**/*.py"))]
+    ]
+    unreached = unreached_public(library, outside)
+    assert [name for name in unreached if name not in TESTED_ONLY] == []
