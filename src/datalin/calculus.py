@@ -245,6 +245,22 @@ def _total_block(support, ctx: _Ctx, fixed: Mapping[Atom, Atom]) -> dict[Atom, A
     return ren
 
 
+def _lift(terms: Terms, support, cut_support, alpha: Atom, hi: Atom,
+          lo: Atom, ctx: _Ctx) -> Terms:
+    """Lift terms of the cut at `alpha` back over it: each c*rho becomes
+    +c*(rho, alpha -> hi) and -c*(rho, alpha -> lo), and every other support
+    atom the cut's support lost goes to a fresh atom per term."""
+    stray = [u for u in support if u != alpha and u not in cut_support]
+    lifted: Terms = []
+    for c, ren in terms:
+        base = dict(ren)
+        for u in stray:
+            base[u] = ctx.fresh.take()
+        lifted.append((c, {**base, alpha: hi}))
+        lifted.append((-c, {**base, alpha: lo}))
+    return lifted
+
+
 def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
     """Recursive core of construct_simple; returns (hypergraph, spec, terms)."""
     ctx.tick()
@@ -289,19 +305,10 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
         sub, sub_spec, sub_terms = _construct_simple(gc, x[1:], ctx)
         beta = ctx.fresh.take()
         beta2 = ctx.fresh.take()
-        co_support = set(gc.as_data_vector().support())
-        stray = [u for u in support if u != alpha and u not in co_support]
-        terms = []
-        for c, ren in sub_terms:
-            base = dict(ren)
-            for u in stray:
-                base[u] = ctx.fresh.take()
-            hi = dict(base)
-            hi[alpha] = beta
-            lo = dict(base)
-            lo[alpha] = beta2
-            terms.append((c, hi))
-            terms.append((-c, lo))
+        terms = _lift(
+            sub_terms, support, set(gc.as_data_vector().support()),
+            alpha, beta, beta2, ctx,
+        )
         ctx.check_terms(terms)
         hg = Hypergraph(
             sub.vertices | {beta, beta2},
@@ -336,7 +343,6 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
             ctx,
         )
         co_support = set(fc.as_data_vector().support())
-        stray = [u for u in sup if u != alpha and u not in co_support]
         correction: Terms = []
         for s_hg, _spec, fam_terms in entries:
             candidates = [
@@ -344,17 +350,10 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
             ]
             if not candidates:
                 raise CalculusError("no spare vertex for the elimination step")
-            alpha2 = candidates[0]
-            for c, _gi, ren in fam_terms:
-                base = dict(ren)
-                for u in stray:
-                    base[u] = ctx.fresh.take()
-                hi = dict(base)
-                hi[alpha] = alpha
-                lo = dict(base)
-                lo[alpha] = alpha2
-                correction.append((c, hi))
-                correction.append((-c, lo))
+            correction += _lift(
+                [(c, ren) for c, _gi, ren in fam_terms], sup, co_support,
+                alpha, alpha, candidates[0], ctx,
+            )
         # flatten: copies of `current` become copies of g
         flattened: Terms = []
         for c, ren in correction:
@@ -409,7 +408,6 @@ FamilyTerms = list[tuple[int, int, dict[Atom, Atom]]]
 
 def _simple_with_value(
     layers: GeneratorLayers,
-    m: int,
     a: IntVector,
     A: tuple[Atom, ...],
     B: tuple[Atom, ...],
@@ -421,6 +419,7 @@ def _simple_with_value(
     integer combination of canonical simple graphs of the family members
     (the owner's size-m layer), together with family witness terms."""
     family, dim = layers.hypergraphs, layers.dim
+    m = len(A)
     layer = layers.layer(m)
     sol = layer.factor.solve(a)
     if sol is None:
@@ -451,25 +450,6 @@ def _simple_with_value(
     return hg, spec, fam_terms
 
 
-def _dominates(x: KSet, y: KSet) -> bool:
-    """y is at least x under the componentwise order of sorted tuples."""
-    return all(a <= b for a, b in zip(x, y))
-
-
-def _maximal_sets(fam: Sequence[KSet]) -> list[KSet]:
-    """The members of a lexicographically sorted family of equal-size sets
-    that no other member dominates, in family order.  A dominator of x is
-    lexicographically larger and domination is transitive, so one walk from
-    the largest member down, testing each against the members kept so far,
-    finds them."""
-    kept: list[KSet] = []
-    for x in reversed(fam):
-        if not any(_dominates(x, y) for y in kept):
-            kept.append(x)
-    kept.reverse()
-    return kept
-
-
 def _greedy_below(l_set: KSet, pool) -> Optional[tuple[Atom, ...]]:
     """Distinct atoms b_i < a_i from the pool, aligned with sorted(l_set);
     smallest-available-first, complete for this matching problem."""
@@ -484,6 +464,24 @@ def _greedy_below(l_set: KSet, pool) -> Optional[tuple[Atom, ...]]:
     return tuple(chosen)
 
 
+def _pick(weights: Mapping[KSet, IntVector], verts: Sequence[Atom]):
+    """(L, below) for the first maximal key L of `weights`, in descending
+    colex order, that `_greedy_below` serves from the other vertices; None
+    if there is none.  A key's dominators (position by position at least as
+    large) are colex-larger and domination is transitive, so a key is
+    maximal iff no maximal key walked before it dominates it."""
+    pool = set(verts)
+    kept: list[KSet] = []
+    for l_set in sorted(weights, key=lambda t: t[::-1], reverse=True):
+        if any(all(a <= b for a, b in zip(l_set, y)) for y in kept):
+            continue
+        kept.append(l_set)
+        below = _greedy_below(l_set, pool - set(l_set))
+        if below is not None:
+            return l_set, below
+    return None
+
+
 def _express_via_simple(
     h: DataVector,
     layers: GeneratorLayers,
@@ -496,7 +494,10 @@ def _express_via_simple(
     Level by level, for each size an improvement loop that repeatedly cancels
     a maximal nonzero-weight set L against a strictly dominated disjoint set
     L', until no nonzero weights of that size remain; at size 0 this places
-    one (0, w_empty)-simple graph.  Returns [(hypergraph, spec, family
+    one (0, w_empty)-simple graph.  Each step picks L in one walk of the
+    level's weights in descending colex order (`_pick`): a set some maximal
+    set walked before it dominates is skipped, and the first maximal set
+    `_greedy_below` serves is taken.  Returns [(hypergraph, spec, family
     terms)] summing to h exactly."""
     k, d = h.arity, h.dim
     verts = sorted(set(vertices))
@@ -517,25 +518,16 @@ def _express_via_simple(
             ctx.tick()
             if not weights:
                 break
-            maximal = _maximal_sets(sorted(weights))
-            maximal.sort(key=lambda t: tuple(reversed(t)), reverse=True)
-            chosen = None
-            for l_set in maximal:
-                below = _greedy_below(l_set, set(verts) - set(l_set))
-                if below is not None:
-                    chosen = (l_set, below)
-                    break
+            chosen = _pick(weights, verts)
             if chosen is None:
-                raise CalculusError(
-                    "improvement loop stuck with nonzero weights"
-                )
+                raise CalculusError("improvement loop stuck with nonzero weights")
             l_set, below = chosen
             c_pool = [v for v in verts if v not in l_set and v not in below]
             c_block = tuple(c_pool[: max(0, 2 * (k - level) - 1)])
             if len(c_block) < max(0, 2 * (k - level) - 1):
                 raise CalculusError("not enough vertices for the free block")
             s_hg, s_spec, s_terms = _simple_with_value(
-                layers, level, weights[l_set], l_set, below, c_block, k, ctx
+                layers, weights[l_set], l_set, below, c_block, k, ctx
             )
             entries.append((s_hg, s_spec, s_terms))
             residual_terms.append((-1, s_hg.as_data_vector(), {}))
@@ -551,18 +543,12 @@ def _express_via_simple(
     return entries
 
 
-def express_via_simple(h: DataVector, family: Sequence[DataVector], vertices):
-    """Public wrapper around the decomposition; allocates its own context
-    and builds the family's layers.  Raises CapExceeded past `_MAX_STEPS`
-    steps or `_MAX_TERMS` terms."""
-    return express_over_layers(GeneratorLayers(family, h.dim), h, vertices)
-
-
-def express_over_layers(layers: GeneratorLayers, h: DataVector, vertices):
-    """`express_via_simple` over the family of a layer owner the caller
-    already holds, so layers it factored before are not factored again."""
+def express_via_simple(layers: GeneratorLayers, h: DataVector, vertices):
+    """Decompose h over the family of `layers` (see `_express_via_simple`)
+    in a construction context of its own; a layer the owner factored before
+    is not factored again.  Raises CapExceeded past `_MAX_STEPS` steps or
+    `_MAX_TERMS` terms."""
     used = set(vertices) | set(h.support())
     for g in layers.hypergraphs:
         used |= g.vertices
-    ctx = _Ctx(used)
-    return _express_via_simple(h, layers, sorted(vertices), ctx)
+    return _express_via_simple(h, layers, vertices, _Ctx(used))

@@ -67,8 +67,12 @@ class AtomTable:
                 raise FormatError("integer atoms must be nonnegative")
             return raw
         if isinstance(raw, str):
-            # renaming keys are JSON strings even for numeric atoms
-            return _parse_int(raw, "atom") if raw.isdecimal() else raw
+            # renaming keys are JSON strings even for numeric atoms, written
+            # as str(n); any other digit string ("007", "٣") is a name
+            if raw.isascii() and raw.isdecimal():
+                n = _parse_int(raw, "atom")
+                return n if str(n) == raw else raw
+            return raw
         raise FormatError("atoms must be strings or nonnegative integers")
 
     def intern(self, raw: Any) -> Atom:
@@ -81,7 +85,10 @@ class AtomTable:
     def name_of(self, atom: Atom) -> Any:
         if 0 <= atom < len(self.names):
             return self.names[atom]
-        return f"_f{atom}"  # fresh atom introduced internally
+        name = f"_f{atom}"  # fresh atom introduced internally
+        while name in self.ids:  # never an input atom's name
+            name = "_" + name
+        return name
 
 
 def _parse_int(raw: Any, where: str) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .calculus import CalculusError, express_over_layers
+from .calculus import CalculusError, express_via_simple
 from .core import (
     Atom,
     DataVector,
@@ -109,7 +109,7 @@ def extract_witness_general(inst: Instance) -> Optional[Witness]:
     verts = sorted(inst.target.support())
     while len(verts) < 2 * k:
         verts.append(fresh.take())
-    entries = express_over_layers(layers, inst.target, verts)
+    entries = express_via_simple(layers, inst.target, verts)
     raw: list[tuple[int, int, Mapping[Atom, Atom]]] = []
     for _hg, _spec, fam_terms in entries:
         raw.extend(fam_terms)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from datalin import calculus, zsolve
 from datalin.calculus import (
@@ -248,7 +248,8 @@ def test_merge_and_eval_terms():
 def test_express_via_simple_reconstructs_target():
     gen = triangle(0, 1, 2)
     target = DataVector(2, 1, {(0, 1): (6,)})
-    pieces = express_via_simple(target, [gen], tuple(range(6)))
+    layers = zsolve.GeneratorLayers([gen], 1)
+    pieces = express_via_simple(layers, target, tuple(range(6)))
     total = DataVector(2, 1, {})
     simple_sum = DataVector(2, 1, {})
     for hg, spec, fam_terms in pieces:
@@ -264,8 +265,9 @@ def test_decomposition_factors_each_level_once(monkeypatch):
     factored = spy(monkeypatch, zsolve, "hnf")
     placed = spy(monkeypatch, calculus, "_simple_with_value")
     target = dv_add(triangle(0, 1, 2, 2), triangle(2, 3, 4, -1))
-    express_via_simple(target, [triangle(0, 1, 2)], tuple(range(7)))
-    levels = [args[1] for args in placed]
+    layers = zsolve.GeneratorLayers([triangle(0, 1, 2)], 1)
+    express_via_simple(layers, target, tuple(range(7)))
+    levels = [len(args[2]) for args in placed]
     assert len(levels) > 3
     assert len(factored) == len(set(levels)) == 3
 
@@ -274,24 +276,39 @@ def test_decomposition_reads_residual_weights_once_per_level(monkeypatch):
     tables = spy(monkeypatch, calculus, "weight_table")
     placed = spy(monkeypatch, calculus, "_simple_with_value")
     target = dv_add(triangle(0, 1, 2, 2), triangle(2, 3, 4, -1))
-    pieces = express_via_simple(target, [triangle(0, 1, 2)], tuple(range(7)))
+    layers = zsolve.GeneratorLayers([triangle(0, 1, 2)], 1)
+    pieces = express_via_simple(layers, target, tuple(range(7)))
     assert len(placed) == len(pieces) > 3
     # the residual's tables; a nested decomposition would have a lower arity
     builds = [args for args in tables if args[0].arity == target.arity]
     assert 0 < len(builds) <= target.arity + 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_maximal_sets_match_the_quadratic_definition(data):
-    k = data.draw(st.integers(min_value=1, max_value=3))
+@st.composite
+def _pick_cases(draw):
+    """A family of equal-size sets and a vertex list for `calculus._pick`."""
+    k = draw(st.integers(min_value=1, max_value=3))
     ksets = st.frozensets(
         st.integers(min_value=0, max_value=7), min_size=k, max_size=k
     ).map(lambda x: tuple(sorted(x)))
-    fam = sorted(data.draw(st.sets(ksets, max_size=25)))
+    fam = sorted(draw(st.sets(ksets, max_size=25)))
+    return fam, sorted(draw(st.sets(st.integers(min_value=0, max_value=9))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pick_cases())
+# (2, 4, 7) is served but (5, 6, 7) dominates it, and no maximal set is served
+@example(([(1, 2, 6), (1, 3, 6), (2, 3, 7), (2, 4, 7), (5, 6, 7)], [1, 3, 6, 7, 8, 9]))
+def test_pick_matches_the_quadratic_definition(case):
+    fam, verts = case
 
     def dominates(x, y):
         return all(a <= b for a, b in zip(x, y))
 
-    expected = [x for x in fam if not any(y != x and dominates(x, y) for y in fam)]
-    assert calculus._maximal_sets(fam) == expected
+    maximal = [x for x in fam if not any(y != x and dominates(x, y) for y in fam)]
+    maximal.sort(key=lambda t: tuple(reversed(t)), reverse=True)
+    served = (
+        (x, calculus._greedy_below(x, set(verts) - set(x))) for x in maximal
+    )
+    expected = next(((x, b) for x, b in served if b is not None), None)
+    assert calculus._pick(dict.fromkeys(fam), verts) == expected

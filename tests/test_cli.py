@@ -151,18 +151,25 @@ def test_check_local_explain(tmp_path, capsys):
     assert "LOCAL-CHECK-FAIL" in out and "subset" in out
 
 
-def test_witness_and_verify_round_trip(tmp_path, capsys):
-    inst_path = write(tmp_path, "ex2.json", EX2)
+def _witness_then_verify(tmp_path, capsys, inst_path):
+    """Run `witness` on the instance, then `verify` on its output; returns
+    the witness line, verify's exit code and output, and the witness path."""
     assert main(["witness", inst_path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("WITNESS-FOUND")
     witness_json = out.splitlines()[1]
     wpath = tmp_path / "w.json"
     wpath.write_text(witness_json)
-    assert main(["verify", inst_path, str(wpath)]) == 0
-    assert "VERIFIED" in capsys.readouterr().out
+    code = main(["verify", inst_path, str(wpath)])
+    return witness_json, code, capsys.readouterr().out, str(wpath)
+
+
+def test_witness_and_verify_round_trip(tmp_path, capsys):
+    inst_path = write(tmp_path, "ex2.json", EX2)
+    _, code, out, wpath = _witness_then_verify(tmp_path, capsys, inst_path)
+    assert (code, out.strip()) == (0, "VERIFIED")
     # same witness fails N-mode (negative coefficients)
-    assert main(["verify", inst_path, str(wpath), "--mode", "N"]) == 1
+    assert main(["verify", inst_path, wpath, "--mode", "N"]) == 1
 
 
 def test_witness_command_uses_the_general_extractor(tmp_path, capsys):
@@ -278,6 +285,48 @@ def test_non_decimal_digit_atoms_are_names(tmp_path):
     sup = dict(EX1, target=[{"set": ["\u00b2"], "value": ["2"]}])
     path = write(tmp_path, "sup.json", sup)
     assert main(["zsolve", path]) == 0
+
+
+def test_fresh_atoms_avoid_input_names(tmp_path, capsys):
+    raw = dict(
+        EX1,
+        generators=[[{"set": ["p"], "value": [1]}, {"set": ["q"], "value": [1]}]],
+        target=[{"set": ["_f5"], "value": [2]}],
+    )
+    path = write(tmp_path, "clash.json", raw)
+    witness_json, code, out, _ = _witness_then_verify(tmp_path, capsys, path)
+    assert (code, out.strip()) == (0, "VERIFIED")
+    # fresh atom 5 would be printed as "_f5", the target's atom
+    assert '"__f5"' in witness_json
+
+
+NON_CANONICAL_DIGITS = {
+    "leading-zero-key": {
+        "arity": 2,
+        "dimension": 1,
+        "generators": [[{"set": ["007", "7"], "value": [1]}]],
+        "target": [{"set": ["007", "7"], "value": [2]}],
+    },
+    "leading-zero-target": dict(
+        EX1,
+        generators=[[{"set": ["a"], "value": [1]}]],
+        target=[{"set": ["7"], "value": [1]}, {"set": ["007"], "value": [1]}],
+    ),
+    "arabic-indic-three": dict(
+        EX1,
+        generators=[[{"set": [3], "value": [1]}, {"set": ["\u0663"], "value": [1]}]],
+        target=[{"set": ["a"], "value": [2]}],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL_DIGITS))
+def test_non_canonical_digit_strings_are_names(tmp_path, capsys, name):
+    path = write(tmp_path, "inst.json", NON_CANONICAL_DIGITS[name])
+    witness_json, code, out, _ = _witness_then_verify(tmp_path, capsys, path)
+    assert (code, out.strip()) == (0, "VERIFIED")
+    if name.startswith("leading-zero"):
+        assert '"007"' in witness_json
 
 
 def test_gen_is_byte_stable(capsys):

@@ -461,3 +461,31 @@ def test_every_public_name_is_reached():
     ]
     unreached = unreached_public(library, outside)
     assert [name for name in unreached if name not in TESTED_ONLY] == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of `assert` statements, which `python -O` strips."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+    )
+
+
+def test_assert_lines_detects_statements_only():
+    src = (
+        "assert x\n"
+        "def f(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    return x  # assert x\n"
+        "s = 'assert y'\n"
+        "assert_ok = 1\n"
+    )
+    assert assert_lines(src) == [1, 3]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_assert_statements(module):
+    # Self-checks are explicit raises (`VerificationError`, `CalculusError`)
+    # so that they still run under `python -O`.
+    assert assert_lines((SRC / module).read_text(encoding="utf-8")) == []

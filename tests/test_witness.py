@@ -212,6 +212,31 @@ def test_extractors_agree_with_decision_on_random_instances():
         checked += 1
 
 
+def _triangle_target(atoms, count):
+    """Sum of `count` unit triangles of random sign on random atom triples."""
+    rng = random.Random(atoms)
+    total = DataVector(2, 1, {})
+    for _ in range(count):
+        a, b, c = sorted(rng.sample(range(atoms), 3))
+        total = dv_add(total, triangle(a, b, c, rng.choice((1, -1))))
+    return total
+
+
+@pytest.mark.parametrize(
+    "atoms, count, edges, steps, terms",
+    [(30, 50, 124, 157, 247), (60, 235, 522, 583, 765)],
+)
+def test_triangle_target_witness_sizes(monkeypatch, atoms, count, edges, steps, terms):
+    # Another choice of the set each decomposition step cancels changes the
+    # number of simple graphs placed (the merged witness may stay the same).
+    placed = spy(monkeypatch, calculus, "_simple_with_value")
+    inst = Instance(2, 1, (triangle(0, 1, 2),), _triangle_target(atoms, count))
+    assert len(inst.target.entries) == edges
+    w = extract_witness_general(inst)
+    assert w is not None and verify_witness(inst, w)
+    assert (len(placed), len(w.terms)) == (steps, terms)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_instances(max_generators=2))
 def test_z_solvable_iff_the_general_extractor_verifies(inst):
