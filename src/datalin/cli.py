@@ -270,6 +270,8 @@ def cmd_nsolve(args, inst: Instance, table: AtomTable) -> int:
         "coeff_bound": str(dec.bounds.coeff_bound),
         "support_size": str(dec.bounds.support_size),
     }
+    if dec.status == "INCONCLUSIVE":
+        payload["reason"] = dec.reason
     if dec.status == "SOLVABLE" and dec.guess is not None:
         payload["nonreversible_part"] = [
             {

@@ -95,9 +95,6 @@ class DataVector:
     def support(self) -> frozenset[Atom]:
         return frozenset(a for key in self.entries for a in key)
 
-    def value(self, key: Iterable[Atom]) -> IntVector:
-        return self.entries.get(kset(key), zero_vec(self.dim))
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -7,9 +7,11 @@ side by a triangular solve and re-verifies M*x = y.  `z_solve_system(m, y)`
 is the one-shot `hnf(m).solve(y)`; callers that solve many right-hand sides
 against one matrix (a layer of the Z criterion) hold the factorisation
 instead; `rank` reads the pivot count of the same factorisation.  Also:
-membership in the nonnegative rational cone by an exact simplex with
-Bland's rule, and Pottier's exponential norm bound on minimal nonnegative
-solutions.  No floating point anywhere.
+membership in the nonnegative rational cone by a phase-1 simplex with
+Bland's rule on an all-integer tableau (fraction-free pivoting over one
+common denominator; only the returned certificate is in fractions), and
+Pottier's exponential norm bound on minimal nonnegative solutions.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -178,7 +180,12 @@ def cone_member_certificate(
     """(True, rational coefficients q >= 0 with sum q_i g_i = y) or
     (False, Farkas functional z with z.g_i >= 0 for all i and z.y < 0).
 
-    Phase-1 exact-rational simplex with Bland's rule; always terminates."""
+    Phase-1 simplex with Bland's rule on an all-integer tableau
+    (fraction-free pivoting of Edmonds, also called Bareiss pivoting): T and
+    one common denominator D > 0 stand for the rational tableau T / D, and
+    every entry of T is a minor of the initial [sA | I | sy], so each
+    pivot's division by the previous D is exact.  The pivots are those of
+    the rational simplex; always terminates."""
     d = len(y)
     for g in gens:
         if len(g) != d:
@@ -187,64 +194,79 @@ def cone_member_certificate(
     sign = [1 if y[i] >= 0 else -1 for i in range(d)]
     # tableau rows: d constraints; columns: n real + d artificial + rhs
     tab = [
-        [Fraction(sign[i] * gens[j][i]) for j in range(n)]
-        + [Fraction(1 if t == i else 0) for t in range(d)]
-        + [Fraction(sign[i] * y[i])]
+        [sign[i] * gens[j][i] for j in range(n)]
+        + [1 if t == i else 0 for t in range(d)]
+        + [sign[i] * y[i]]
         for i in range(d)
     ]
-    cost = [Fraction(0)] * n + [Fraction(1)] * d
+    den = 1
     basis = list(range(n, n + d))
     while True:
-        # reduced costs from scratch (d is small; keeps the pivoting simple)
-        cb = [cost[b] for b in basis]
-        rc = [
-            cost[j] - sum(cb[i] * tab[i][j] for i in range(d))
-            for j in range(n + d)
-        ]
-        entering = next((j for j in range(n + d) if rc[j] < 0), None)
+        # D times column j's reduced cost is D * cost_j (0 on the real
+        # columns, 1 on the artificial ones) minus the column summed over
+        # the artificial rows; only its sign is read
+        art = [row for row, b in zip(tab, basis) if b >= n]
+        cost = [0] * n + [den] * d
+        entering = next(
+            (j for j in range(n + d) if sum(r[j] for r in art) > cost[j]), None
+        )
         if entering is None:
             break
-        ratios = [
-            (tab[i][n + d] / tab[i][entering], basis[i], i)
-            for i in range(d)
-            if tab[i][entering] > 0
-        ]
-        if not ratios:
+        leave = _leaving_row(tab, basis, entering)
+        if leave is None:
             raise VerificationError("phase-1 objective unbounded below (impossible)")
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        piv = tab[leave][entering]
-        tab[leave] = [a / piv for a in tab[leave]]
+        prow = tab[leave]
+        piv = prow[entering]
         for i in range(d):
-            if i != leave and tab[i][entering]:
+            if i != leave:
                 f = tab[i][entering]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+                tab[i] = [(piv * a - f * b) // den for a, b in zip(tab[i], prow)]
+        den = piv
         basis[leave] = entering
-    cb = [cost[b] for b in basis]
-    obj = sum(cb[i] * tab[i][n + d] for i in range(d))
-    if obj == 0:
+    art = [row for row, b in zip(tab, basis) if b >= n]
+    if sum(row[-1] for row in art) == 0:
         q = [Fraction(0)] * n
         for i, b in enumerate(basis):
             if b < n:
-                q[b] = tab[i][n + d]
+                q[b] = Fraction(tab[i][-1], den)
         if any(qi < 0 for qi in q):
             raise VerificationError("simplex certificate has a negative coefficient")
         for i in range(d):
             if sum(q[j] * gens[j][i] for j in range(n)) != y[i]:
                 raise VerificationError("simplex certificate failed re-verification")
         return True, tuple(q)
-    # simplex multipliers from the artificial columns' reduced costs
-    rc = [
-        cost[j] - sum(cb[i] * tab[i][j] for i in range(d))
-        for j in range(n + d)
-    ]
-    pi = [1 - rc[n + i] for i in range(d)]
-    z = tuple(-sign[i] * pi[i] for i in range(d))
+    # simplex multipliers pi_i = 1 - (reduced cost of artificial column
+    # n+i), which is that column summed over the artificial rows, over D
+    z = tuple(
+        -sign[i] * Fraction(sum(row[n + i] for row in art), den) for i in range(d)
+    )
     if sum(z[i] * y[i] for i in range(d)) >= 0:
         raise VerificationError("Farkas functional failed: z.y must be negative")
     for j in range(n):
         if sum(z[i] * gens[j][i] for i in range(d)) < 0:
             raise VerificationError("Farkas functional failed: z.g must be nonnegative")
     return False, z
+
+
+def _leaving_row(
+    tab: list[list[int]], basis: list[int], entering: int
+) -> Optional[int]:
+    """The ratio test: among rows with a positive entry in the entering
+    column, the one of least ratio (right-hand side, the last column) /
+    entry, ties to the least basic variable (Bland's rule); None when no
+    entry is positive.  Ratios are compared exactly by cross-multiplying
+    the two positive entries."""
+    best = None
+    for i, row in enumerate(tab):
+        a = row[entering]
+        if a <= 0:
+            continue
+        if best is not None:
+            ours, theirs = row[-1] * tab[best][entering], tab[best][-1] * a
+            if ours > theirs or (ours == theirs and basis[i] > basis[best]):
+                continue
+        best = i
+    return best
 
 
 def cone_member(gens: Sequence[IntVector], y: Sequence[int]) -> bool:

@@ -8,6 +8,11 @@ nonreversible copies by an explicit exponential formula, enumerate the
 bounded guesses for the nonreversible part, and solve the residual over
 the reversible generators as an integer (Z) problem.  Caps make the
 search honest: truncation yields INCONCLUSIVE, never a wrong certificate.
+
+The split shares cone certificates: each one decides every generator it
+covers, so one simplex runs per generator still undecided.  One
+`GeneratorLayers` owner of all generators gives the Z refusal and, when
+every generator is reversible, also checks each guess's residual.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from .core import (
     vec_add,
     zero_vec,
 )
-from .intlin import cone_member, inf_norm, one_norm
-from .zsolve import GeneratorLayers, LocalReport, z_solvable
+from .intlin import cone_member_certificate, inf_norm, one_norm
+from .zsolve import GeneratorLayers, LocalReport
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,7 @@ class NDecision:
     bounds: NBoundData
     guess: Optional[tuple[tuple[int, tuple[tuple[Atom, Atom], ...]], ...]] = None
     residual_report: Optional[LocalReport] = None
+    reason: Optional[str] = None  # INCONCLUSIVE only: "coeff_cap" | "guess_cap"
 
 
 def data_projection(a: DataVector) -> IntVector:
@@ -83,11 +89,32 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
 
 
 def _partition(projections: list[IntVector]) -> ReversibilityPartition:
-    rev, nonrev = [], []
+    """Split the indices by reversibility, one cone certificate deciding
+    every generator it covers; a generator already decided is skipped.
+
+    If -p_i = sum q_j p_j with q >= 0, every j with q_j > 0 is reversible:
+    -p_j = (p_i + sum_{l != j} q_l p_l) / q_j.  If instead a Farkas z has
+    z.p_l >= 0 for every l and z.p_i > 0, every j with z.p_j > 0 is
+    nonreversible: z is nonnegative on the cone, negative on -p_j."""
+    reversible: dict[int, bool] = {}
     for i, p in enumerate(projections):
-        neg = tuple(-x for x in p)
-        (rev if cone_member(projections, neg) else nonrev).append(i)
-    return ReversibilityPartition(tuple(rev), tuple(nonrev))
+        if i in reversible:
+            continue
+        ok, cert = cone_member_certificate(projections, tuple(-x for x in p))
+        if ok:
+            reversible[i] = True
+            for j, q in enumerate(cert):
+                if q > 0:
+                    reversible[j] = True
+        else:
+            for j, pj in enumerate(projections):
+                if sum(z * x for z, x in zip(cert, pj)) > 0:
+                    reversible[j] = False
+    order = range(len(projections))
+    return ReversibilityPartition(
+        tuple(i for i in order if reversible[i]),
+        tuple(i for i in order if not reversible[i]),
+    )
 
 
 def nonreversible_bound(
@@ -123,28 +150,36 @@ def n_solvable(
 ) -> NDecision:
     """Decide N-solvability.
 
-    Fast refusal: not Z-solvable over all generators implies not N-solvable.
-    Otherwise enumerate the multiplicities of nonreversible copies (pruned
-    by the projection equation), place each copy canonically over the target
+    Fast refusal: not Z-solvable over all generators implies not N-solvable;
+    one `GeneratorLayers` owner of all generators decides it.  Otherwise
+    enumerate the multiplicities of nonreversible copies (pruned by the
+    projection equation), place each copy canonically over the target
     support plus fresh atoms, and Z-solve the residual over the reversible
     generators only.  Exhausted enumeration within the caps is a certificate
-    of UNSOLVABLE; truncation reports INCONCLUSIVE.
+    of UNSOLVABLE; truncation reports INCONCLUSIVE with the cap that tripped
+    as its `reason`.
     """
     gens = inst.generators
     projections = [data_projection(g) for g in gens]
     part = _partition(projections)
     bounds = _bound(inst, part, projections)
-    if not z_solvable(inst):
+    layers = GeneratorLayers(gens, inst.dim)
+    if not layers.check(inst.target).decision:
         return NDecision("UNSOLVABLE", bounds)
 
     if bounds.coeff_bound > coeff_cap:
-        return NDecision("INCONCLUSIVE", bounds)
+        return NDecision("INCONCLUSIVE", bounds, reason="coeff_cap")
 
     # Every guess's residual is checked against the reversible generators'
-    # layers, each factored once per call.  Layer 0 holds their nonzero
-    # projections (the weight of the empty set is a vector's projection),
-    # which span the same lattice as all of them.
-    rev = GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
+    # layers, each factored once per call; with no nonreversible generator
+    # they are the layers of the Z refusal above.  Layer 0 holds their
+    # nonzero projections (the weight of the empty set is a vector's
+    # projection), which span the same lattice as all of them.
+    rev = (
+        GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
+        if part.nonreversible
+        else layers
+    )
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
     total_cap = bounds.coeff_bound
@@ -207,7 +242,7 @@ def n_solvable(
 
     for tried, terms in enumerate(guesses(), start=1):
         if tried > guess_cap:
-            return NDecision("INCONCLUSIVE", bounds)
+            return NDecision("INCONCLUSIVE", bounds, reason="guess_cap")
         residual = dv_combine(
             inst.arity,
             inst.dim,

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -56,13 +55,11 @@ def ex2_odd():
     return Instance(2, 1, (triangle(0, 1, 2),), edge_target(3))
 
 
-class NeverPositive(Fraction):
-    """A Fraction that never compares as positive.  Patched in for
-    `intlin.Fraction`, it empties the simplex's ratio test and so reaches the
-    phase-1 "unbounded" branch, which no input can reach."""
-
-    def __gt__(self, other):
-        return False
+def no_leaving_row(*args):
+    """Patched in for `intlin._leaving_row`: a ratio test that finds no
+    row.  It reaches the simplex's phase-1 "unbounded" branch, which no
+    input can reach."""
+    return None
 
 
 def spy(monkeypatch, owner, name):

@@ -22,8 +22,8 @@ from datalin.core import DataVector, Instance, ShapeError, VerificationError
 from datalin.witness import WitnessTerm, Witness, extract_witness_general
 
 from conftest import (
-    NeverPositive,
     edge_target,
+    no_leaving_row,
     pair_generator,
     point_target,
     triangle,
@@ -141,6 +141,15 @@ def test_nsolve_exit_code(tmp_path, capsys):
     assert "NOT-N-SOLVABLE" in capsys.readouterr().out
 
 
+def test_nsolve_json_names_the_inconclusive_reason(tmp_path, capsys):
+    path = write(tmp_path, "ex1.json", EX1)
+    assert main(["nsolve", path, "--json"]) == 1
+    assert "reason" not in json.loads(capsys.readouterr().out.splitlines()[1])
+    assert main(["nsolve", path, "--json", "--cap", "0"]) == 3
+    payload = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert (payload["status"], payload["reason"]) == ("INCONCLUSIVE", "coeff_cap")
+
+
 def test_check_local_explain(tmp_path, capsys):
     odd = dict(
         EX2, target=[{"set": ["g", "d"], "value": ["3"]}]
@@ -220,7 +229,7 @@ def test_verification_error_exit_code_4(tmp_path, capsys, monkeypatch):
 def test_unbounded_simplex_exit_code_4(tmp_path, capsys, monkeypatch):
     # the reversibility test runs the simplex, whose impossible branch is
     # forced here: an internal error, not a traceback
-    monkeypatch.setattr(intlin, "Fraction", NeverPositive)
+    monkeypatch.setattr(intlin, "_leaving_row", no_leaving_row)
     negated = [{"set": ["d"], "value": ["-1"]}]
     path = write(
         tmp_path, "rev.json", dict(EX1, generators=EX1["generators"] + [negated])

@@ -46,8 +46,8 @@ def test_datavector_canonicalizes_and_drops_zeros():
     v = DataVector(2, 1, {(1, 0): (1,), (2, 3): (0,)})
     assert v.entries == {(0, 1): (1,)}
     assert v.support() == frozenset({0, 1})
-    assert v.value((1, 0)) == (1,)
-    assert v.value((0, 2)) == (0,)
+    assert v.entries[(0, 1)] == (1,)
+    assert (0, 2) not in v.entries
 
 
 def test_datavector_shape_errors():
@@ -64,7 +64,7 @@ def test_arithmetic_basics():
     assert s.entries == {(1,): (1,), (2,): (4,)}
     assert dv_sub(s, b) == a
     assert dv_scale(0, a).is_zero()
-    assert dv_scale(-2, a).value((0,)) == (-2,)
+    assert dv_scale(-2, a).entries[(0,)] == (-2,)
 
 
 @given(small_vec(2), perm_st, perm_st)

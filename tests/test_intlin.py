@@ -25,7 +25,7 @@ from datalin.intlin import (
 )
 from datalin.core import ShapeError, VerificationError
 
-from conftest import NeverPositive
+from conftest import no_leaving_row
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,7 +161,7 @@ def test_hnf_solve_rejects_wrong_length():
 
 
 def test_unbounded_phase1_raises_verification_error(monkeypatch):
-    monkeypatch.setattr(intlin, "Fraction", NeverPositive)
+    monkeypatch.setattr(intlin, "_leaving_row", no_leaving_row)
     with pytest.raises(VerificationError, match="unbounded"):
         cone_member_certificate([(1, 0), (0, 1)], (1, 1))
 
@@ -189,12 +189,11 @@ def test_cone_membership():
     assert sum(z * y for z, y in zip(cert, (-1, 0))) < 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_cone_certificates_are_sound(data):
-    d = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(1, 4))
-    ent = st.integers(-3, 3)
+def check_cone_certificate(data, max_d, min_n, max_n, bound):
+    """Draw generators and a target, and check the certificate returned."""
+    d = data.draw(st.integers(1, max_d))
+    n = data.draw(st.integers(min_n, max_n))
+    ent = st.integers(-bound, bound)
     gens = [tuple(data.draw(ent) for _ in range(d)) for _ in range(n)]
     y = tuple(data.draw(ent) for _ in range(d))
     ok, cert = cone_member_certificate(gens, y)
@@ -207,6 +206,20 @@ def test_cone_certificates_are_sound(data):
             sum(z * g[i] for i, z in enumerate(cert)) >= 0 for g in gens
         )
         assert sum(z * yi for z, yi in zip(cert, y)) < 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cone_certificates_are_sound(data):
+    check_cone_certificate(data, 3, 1, 4, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cone_certificates_verify_on_large_entries(data):
+    # entries up to 10**12 make the tableau's minors large, so every
+    # pivot's exact division is exercised
+    check_cone_certificate(data, 5, 0, 6, 10**12)
 
 
 def test_rank():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
 from datalin import nsolve, zsolve
-from datalin.intlin import HermiteForm
+from datalin.intlin import HermiteForm, cone_member
 from datalin.zsolve import GeneratorLayers, local_check
 from datalin.nsolve import (
     data_projection,
@@ -52,7 +52,7 @@ def test_smooth_symmetrizes_over_the_support():
     v = DataVector(1, 1, {(0,): (1,), (1,): (2,)})
     s = smooth(v, {0, 1, 2})
     # sum over all 3! renamings: every singleton carries the same value
-    assert s.value((0,)) == s.value((1,)) == s.value((2,))
+    assert s.entries[(0,)] == s.entries[(1,)] == s.entries[(2,)]
     assert data_projection(s) == (math.factorial(3) * 3,)
     with pytest.raises(ValueError):
         smooth(v, {0, 2})  # must cover the support
@@ -72,6 +72,34 @@ def test_reversible_partition_sign_swapped():
     inst = Instance(1, 1, (up, down), point_target(1))
     part = reversible_partition(inst)
     assert part.reversible == (0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_partition_matches_the_per_generator_definition(data):
+    # shared certificates decide the same split as one cone test per
+    # generator; zero and duplicate projections are drawn on purpose
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(0, 6))
+    projections = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["new", "zero", "copy"]))
+        if kind == "zero":
+            projections.append((0,) * d)
+        elif kind == "copy" and projections:
+            projections.append(data.draw(st.sampled_from(projections)))
+        else:
+            projections.append(
+                tuple(data.draw(st.integers(-3, 3)) for _ in range(d))
+            )
+    part = nsolve._partition(projections)
+    rev = tuple(
+        i
+        for i, p in enumerate(projections)
+        if cone_member(projections, tuple(-x for x in p))
+    )
+    assert part.reversible == rev
+    assert part.nonreversible == tuple(i for i in range(n) if i not in rev)
 
 
 def test_nonreversible_bound_values(ex1, ex2):
@@ -130,8 +158,9 @@ def test_n_solvable_factors_the_reversible_projections_once(monkeypatch):
     target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
     dec = n_solvable(Instance(1, 1, (pair_generator(),), target))
     assert dec.status == "SOLVABLE"
-    # the reversible generators' layer 0 holds their projections
-    (rev,) = owners
+    # the last owner holds the reversible generators, whose layer 0 holds
+    # their projections; the first holds all generators for the Z refusal
+    rev = owners[-1]
     matrix = rev.layer(0).factor.matrix
     assert sum(args[0] is matrix for args in factored) == 1
     # one solve per composition tried: 0, 1 and 2 copies of the generator
@@ -171,7 +200,8 @@ def test_n_inconclusive_when_capped(ex2):
     target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
     inst = Instance(1, 1, (gen,), target)
     dec = n_solvable(inst, coeff_cap=0, guess_cap=10)
-    assert dec.status in {"SOLVABLE", "INCONCLUSIVE"}
+    assert (dec.status, dec.reason) == ("INCONCLUSIVE", "coeff_cap")
+    assert n_solvable(inst).reason is None
 
 
 def test_guess_cap_counts_the_accepting_guess():
@@ -180,9 +210,10 @@ def test_guess_cap_counts_the_accepting_guess():
     inst = Instance(1, 1, (pair_generator(),), target)
     full = n_solvable(inst)
     at_cap = n_solvable(inst, guess_cap=4)
-    assert at_cap.status == "SOLVABLE"
+    assert (at_cap.status, at_cap.reason) == ("SOLVABLE", None)
     assert (at_cap.guess, at_cap.residual_report) == (full.guess, full.residual_report)
-    assert n_solvable(inst, guess_cap=3).status == "INCONCLUSIVE"
+    capped = n_solvable(inst, guess_cap=3)
+    assert (capped.status, capped.reason) == ("INCONCLUSIVE", "guess_cap")
 
 
 def test_guess_cap_counts_every_guess_of_an_exhausted_search(ex1):
