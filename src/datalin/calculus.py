@@ -50,7 +50,12 @@ class CalculusError(Exception):
 
 
 class CapExceeded(CalculusError):
-    """A construction exceeded its resource cap."""
+    """A construction exceeded its resource cap; `reason` names the cap that
+    tripped: "step_cap" (`_MAX_STEPS`) or "term_cap" (`_MAX_TERMS`)."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class SpanError(CalculusError):
@@ -228,11 +233,11 @@ class _Ctx:
     def tick(self) -> None:
         self.steps += 1
         if self.steps > _MAX_STEPS:
-            raise CapExceeded("construction step cap exceeded")
+            raise CapExceeded("construction step cap exceeded", "step_cap")
 
     def check_terms(self, terms) -> None:
         if len(terms) > _MAX_TERMS:
-            raise CapExceeded("witness term cap exceeded")
+            raise CapExceeded("witness term cap exceeded", "term_cap")
 
 
 def _total_block(support, ctx: _Ctx, fixed: Mapping[Atom, Atom]) -> dict[Atom, Atom]:
@@ -420,15 +425,14 @@ def _simple_with_value(
     (the owner's size-m layer), together with family witness terms."""
     family, dim = layers.hypergraphs, layers.dim
     m = len(A)
-    layer = layers.layer(m)
-    sol = layer.factor.solve(a)
+    sol = layers.solve(m, a)
     if sol is None:
         raise SpanError(
             f"value {a} outside the integer span of size-{m} family weights"
         )
     placed = []
     fam_terms: FamilyTerms = []
-    for (gi, xs), coeff in zip(layer.reps.values(), sol):
+    for (gi, xs), coeff in zip(layers.layer(m).reps.values(), sol):
         if not coeff:
             continue
         key = (family[gi], xs)
@@ -509,10 +513,10 @@ def _express_via_simple(
     entries = []
     residual = h
     for level in range(k + 1):
-        # The residual's nonzero size-`level` weights, read once and then
+        # The residual's nonzero size-`level` weights, built alone and then
         # kept current by subtracting each placed graph's weights (weights
         # are additive); the residual itself is rebuilt once per level.
-        weights = weight_table(residual)[level]
+        (weights,) = weight_table(residual, (level,))
         residual_terms = [(1, residual, {})]
         while True:
             ctx.tick()

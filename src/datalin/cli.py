@@ -68,8 +68,11 @@ class AtomTable:
             return raw
         if isinstance(raw, str):
             # renaming keys are JSON strings even for numeric atoms, written
-            # as str(n); any other digit string ("007", "٣") is a name
-            if raw.isascii() and raw.isdecimal():
+            # as str(n); any other digit string ("007", "٣", or one longer
+            # than int's digit limit, which `_load` refuses as a JSON
+            # integer) is a name
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if raw.isascii() and raw.isdecimal() and not 0 < limit < len(raw):
                 n = _parse_int(raw, "atom")
                 return n if str(n) == raw else raw
             return raw
@@ -316,8 +319,9 @@ def cmd_check_local(args, inst: Instance, table: AtomTable) -> int:
 def cmd_witness(args, inst: Instance, table: AtomTable) -> int:
     try:
         w = extract_witness_general(inst)
-    except CapExceeded:
-        _report(args, "INCONCLUSIVE", {"command": "witness", "status": "cap"})
+    except CapExceeded as exc:
+        payload = {"command": "witness", "status": "cap", "reason": exc.reason}
+        _report(args, "INCONCLUSIVE", payload)
         return 3
     if w is None:
         _report(args, "NO-WITNESS", {"command": "witness", "witness": None})

@@ -8,18 +8,19 @@ construction and all integers are arbitrary precision.
 
 Subset weights (the weight of a vertex set X is the sum of the values at
 the keys containing X) have one builder, `weight_table`: it adds each
-entry's value into each of its 2^k subsets (entries * 2^k additions) and
-keeps the nonzero weights, one sorted dict per subset size.  A hypergraph
-keeps the table of its `mu`, built on first use, for `weight` and
-`nonzero_weight_sets`, so `mu` must not be mutated after construction.  A
-bare data vector keeps none (it may live as long as its instance, a
-hypergraph for one call): its weights are read from `weight_table`.
+entry's value into each of its subsets of the sizes asked for (at most
+entries * 2^k additions) and keeps the nonzero weights, one sorted dict per
+subset size.  A hypergraph keeps the table of its `mu`, built on first use,
+for `weight` and `nonzero_weight_sets`, so `mu` must not be mutated after
+construction.  A bare data vector keeps none (it may live as long as its
+instance, a hypergraph for one call): its weights are read from
+`weight_table`, for the sizes the caller reads.
 
 Every sum of renamed, scaled copies is one `dv_combine` call, which adds
 each term's renamed values into one dict and canonicalises once (entries *
-terms additions).  The pairwise operations are such calls: `dv_add` and
-`dv_sub` sum the terms (1, a) and (+-1, b), `dv_scale` is the term (c, a)
-and `dv_permute` the term (1, a, pi).
+terms additions, each one tuple built in place).  The pairwise operations
+are such calls: `dv_add` and `dv_sub` sum the terms (1, a) and (+-1, b),
+`dv_scale` is the term (c, a) and `dv_permute` the term (1, a, pi).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class VerificationError(Exception):
 def kset(atoms: Iterable[Atom]) -> KSet:
     """Canonicalize a collection of distinct atoms into a k-set."""
     t = tuple(sorted(atoms))
-    if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
+    if len(set(t)) != len(t):
         raise ShapeError(f"atoms are not distinct: {t}")
     if t and t[0] < 0:
         raise ShapeError(f"negative atom id: {t}")
@@ -152,6 +153,7 @@ def dv_combine(
     the renamed, scaled values are added into one dict, which is
     canonicalised once."""
     acc: dict[KSet, IntVector] = {}
+    get = acc.get
     for c, a, pi in terms:
         if a.arity != arity or a.dim != dim:
             raise ShapeError(f"shape mismatch: ({arity},{dim}) vs ({a.arity},{a.dim})")
@@ -159,13 +161,16 @@ def dv_combine(
             check_injective_on(pi, a.support())
         if c == 0:
             continue
+        rename = pi.get
         for key, val in a.entries.items():
             if pi:
-                key = tuple(sorted(pi.get(x, x) for x in key))
+                key = tuple(sorted(map(rename, key, key)))
             if c != 1:
-                val = vec_scale(c, val)
-            cur = acc.get(key)
-            acc[key] = val if cur is None else vec_add(cur, val)
+                val = tuple([c * v for v in val])
+            cur = get(key)
+            if cur is not None:
+                val = tuple([p + q for p, q in zip(cur, val)])
+            acc[key] = val
     return DataVector(arity, dim, acc)
 
 
@@ -214,18 +219,25 @@ class Hypergraph:
         return weight_table(self._data_vector)
 
 
-def weight_table(a: DataVector) -> tuple[dict[KSet, IntVector], ...]:
-    """Nonzero subset weights of a data vector, one dict per subset size
-    0..arity with its keys sorted: the weight of X is the sum of the values
-    at the keys containing X.  Each call builds fresh dicts."""
-    layers: list[dict[KSet, IntVector]] = [{} for _ in range(a.arity + 1)]
+def weight_table(
+    a: DataVector, sizes: Optional[Iterable[int]] = None
+) -> tuple[dict[KSet, IntVector], ...]:
+    """Nonzero subset weights of a data vector, one dict with its keys
+    sorted per subset size in `sizes` (every size 0..arity when None), in
+    that order: the weight of X is the sum of the values at the keys
+    containing X.  Each call builds fresh dicts, of the sizes asked only."""
+    if sizes is None:
+        sizes = range(a.arity + 1)
+    layers = [(size, {}) for size in sizes]
     for key, val in a.entries.items():
-        for size, layer in enumerate(layers):
+        for size, layer in layers:
             for x in itertools.combinations(key, size):
                 cur = layer.get(x)
-                layer[x] = val if cur is None else vec_add(cur, val)
+                layer[x] = (
+                    val if cur is None else tuple([p + q for p, q in zip(cur, val)])
+                )
     return tuple(
-        {x: layer[x] for x in sorted(layer) if any(layer[x])} for layer in layers
+        {x: layer[x] for x in sorted(layer) if any(layer[x])} for _, layer in layers
     )
 
 

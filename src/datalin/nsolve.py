@@ -232,10 +232,12 @@ def n_solvable(
         for total in range(0, total_cap + 1):
             for counts in _compositions(total, len(nonrev)):
                 # projection necessary condition for the residual
-                needed = list(target_proj)
+                needed = target_proj
                 for c, i in zip(counts, nonrev):
-                    needed = [x - c * y for x, y in zip(needed, projections[i])]
-                if rev.layer(0).factor.solve(needed) is None:
+                    needed = tuple(
+                        [x - c * y for x, y in zip(needed, projections[i])]
+                    )
+                if rev.solve(0, needed) is None:
                     continue
                 copies = [i for c, i in zip(counts, nonrev) for _ in range(c)]
                 yield from placements(copies)

@@ -9,14 +9,17 @@ factored once and every target subset of that size is one right-hand side.
 
 `GeneratorLayers` owns a generator family's layers: it encodes the
 generators once and builds and factors each layer on first use, so any
-number of targets (`check`) and decomposition steps share them.  It keeps
+number of targets (`check`) and decomposition steps share them.  Every
+layer solve goes through its `solve`, which solves each distinct (size,
+right-hand side) once and keeps the answer, a solution or None; the first
+solve of each is verified (M*x = y) by `HermiteForm.solve`.  It keeps
 nothing on its input vectors and lives as long as its caller holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     DataVector,
@@ -75,14 +78,19 @@ class Layer(NamedTuple):
     factor: HermiteForm
 
 
+_UNSOLVED = object()  # `GeneratorLayers.solve`'s mark for a key not yet solved
+
+
 class GeneratorLayers:
     """The layers of one generator family of dimension `dim`, each built
-    and factored once, on first use."""
+    and factored once, on first use, and each distinct right-hand side of
+    a layer solved once."""
 
     def __init__(self, generators: Sequence[DataVector], dim: int):
         self.hypergraphs = tuple(encode_hypergraph(g) for g in generators)
         self.dim = dim
         self._layers: dict[int, Layer] = {}
+        self._solved: dict[tuple[int, IntVector], Optional[tuple[int, ...]]] = {}
 
     def layer(self, size: int) -> Layer:
         layer = self._layers.get(size)
@@ -92,6 +100,16 @@ class GeneratorLayers:
             layer = self._layers[size] = Layer(reps, factor)
         return layer
 
+    def solve(self, size: int, y: IntVector) -> Optional[tuple[int, ...]]:
+        """`self.layer(size).factor.solve(y)`, kept for the owner's life:
+        a repeat returns the same answer without solving again.  A
+        `VerificationError` propagates and keeps nothing."""
+        key = (size, y)
+        x = self._solved.get(key, _UNSOLVED)
+        if x is _UNSOLVED:
+            x = self._solved[key] = self.layer(size).factor.solve(y)
+        return x
+
     def check(self, target: DataVector) -> LocalReport:
         """Check every layer of the local criterion for `target` and report
         all failing subsets, sorted by (size, lexicographic subset).  Only
@@ -100,10 +118,10 @@ class GeneratorLayers:
         for size, weights in enumerate(weight_table(target)):
             if not weights:
                 continue
-            layer = self.layer(size)
+            columns = len(self.layer(size).reps)
             for x, w in weights.items():
-                if layer.factor.solve(w) is None:
-                    failures.append(LocalFailure(x, w, len(layer.reps)))
+                if self.solve(size, w) is None:
+                    failures.append(LocalFailure(x, w, columns))
         return LocalReport(decision=not failures, failures=tuple(failures))
 
 

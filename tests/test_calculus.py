@@ -279,9 +279,12 @@ def test_decomposition_reads_residual_weights_once_per_level(monkeypatch):
     layers = zsolve.GeneratorLayers([triangle(0, 1, 2)], 1)
     pieces = express_via_simple(layers, target, tuple(range(7)))
     assert len(placed) == len(pieces) > 3
-    # the residual's tables; a nested decomposition would have a lower arity
+    # the residual's tables, each of the one level read; a nested
+    # decomposition would have a lower arity
     builds = [args for args in tables if args[0].arity == target.arity]
-    assert 0 < len(builds) <= target.arity + 1
+    assert [sizes for _, sizes in builds] == [
+        (level,) for level in range(target.arity + 1)
+    ]
 
 
 @st.composite

@@ -279,14 +279,19 @@ def test_format_error_exit_code_2(tmp_path, capsys):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"arity": "\xe9"}'.encode("latin-1"))
     assert main(["zsolve", str(latin1)]) == 2
-    # integers beyond int's 4300-digit limit, as a JSON number or an atom name
+    # an integer beyond int's 4300-digit limit as a JSON number
     huge = tmp_path / "huge.json"
     huge.write_text('{"arity": ' + "7" * 5000 + "}")
     assert main(["zsolve", str(huge)]) == 2
-    long_atom = dict(EX1, target=[{"set": ["7" * 5000], "value": ["1"]}])
-    long_atom = write(tmp_path, "atom.json", long_atom)
-    assert main(["zsolve", long_atom]) == 2
     assert "internal error" not in capsys.readouterr().err
+    # as an atom name it is a name: no JSON integer atom can equal it
+    long_atom = dict(EX1, target=[{"set": ["7" * 5000], "value": ["2"]}])
+    long_atom = write(tmp_path, "atom.json", long_atom)
+    assert main(["witness", long_atom]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    terms = json.loads(out.out.splitlines()[1])["terms"]
+    assert {"7" * 5000} <= {b for t in terms for b in t["renaming"].values()}
 
 
 def test_non_decimal_digit_atoms_are_names(tmp_path):

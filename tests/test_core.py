@@ -249,6 +249,9 @@ def test_weight_table_matches_the_definitional_scan(h):
                 nonzero[x] = w
         assert nonzero_weight_sets(h, size) == list(nonzero)
         assert list(table[size].items()) == list(nonzero.items())
+        # one size alone builds the same sorted dict
+        (alone,) = weight_table(h.as_data_vector(), (size,))
+        assert list(alone.items()) == list(nonzero.items())
     with pytest.raises(ShapeError):
         weight(h, atoms[: h.arity + 1])
 

@@ -123,6 +123,35 @@ def test_only_zsolve_factors_layers(module):
     assert calls_of((SRC / module).read_text(encoding="utf-8"), "hnf") == 0
 
 
+def reads_of(source: str, attr: str) -> int:
+    """Reads of the attribute `attr` (`x.attr`) anywhere in the module."""
+    return sum(
+        isinstance(node, ast.Attribute) and node.attr == attr
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_reads_of_detects_attribute_reads():
+    src = (
+        "layer = layers.layer(m)\n"
+        "x = layer.factor.solve(y)\n"
+        "factor = hnf(m)\n"
+        "z = layers.solve(m, y)\n"
+    )
+    assert reads_of(src, "factor") == 1
+    assert reads_of(src, "solve") == 2
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name not in {"intlin.py", "zsolve.py"}),
+)
+def test_only_zsolve_reads_a_layer_factorisation(module):
+    # Every layer solve goes through `zsolve.GeneratorLayers.solve`, which
+    # solves each distinct right-hand side of an owner once.
+    assert reads_of((SRC / module).read_text(encoding="utf-8"), "factor") == 0
+
+
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 

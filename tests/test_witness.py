@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from datalin import calculus, zsolve
 from datalin.calculus import CapExceeded
+from datalin.cli import AtomTable, emit_instance, main
 from datalin.core import (
     DataVector,
     Instance,
@@ -265,9 +267,22 @@ def test_general_extraction_factors_each_layer_once(monkeypatch, inst):
 
 
 @pytest.mark.parametrize("cap", ["_MAX_STEPS", "_MAX_TERMS"])
-def test_extraction_past_a_cap_raises_cap_exceeded(monkeypatch, ex2, cap):
+def test_extraction_past_a_cap_raises_cap_exceeded(
+    monkeypatch, capsys, tmp_path, ex2, cap
+):
     # ex2's target is no renamed generator copy, so it needs a decomposition
     assert extract_witness_general(ex2) is not None
     monkeypatch.setattr(calculus, cap, 1)
-    with pytest.raises(CapExceeded):
+    reason = {"_MAX_STEPS": "step_cap", "_MAX_TERMS": "term_cap"}[cap]
+    with pytest.raises(CapExceeded) as exc:
         extract_witness_general(ex2)
+    assert exc.value.reason == reason
+    # `witness --json` names the cap that tripped
+    path = tmp_path / "ex2.json"
+    path.write_text(json.dumps(emit_instance(ex2, AtomTable())))
+    assert main(["witness", "--json", str(path)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "INCONCLUSIVE",
+        json.dumps({"command": "witness", "reason": reason, "status": "cap"},
+                   separators=(",", ":")),
+    ]

@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from datalin.core import (
     DataVector,
     Instance,
+    VerificationError,
     dv_permute,
     dv_scale,
     encode_hypergraph,
     kset,
 )
 from datalin import zsolve
-from datalin.intlin import HermiteForm
+from datalin.intlin import HermiteForm, IntMatrix
 from datalin.zsolve import LocalFailure, layer_columns, local_check, z_solvable
 
 from conftest import (
@@ -20,6 +27,8 @@ from conftest import (
     spy,
     triangle,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_pair_generator_even_target_solvable(ex1):
@@ -56,12 +65,67 @@ def test_local_check_factors_each_needed_layer_once(monkeypatch, ex2):
     solved = spy(monkeypatch, HermiteForm, "solve")
     local_check(ex2)
     assert len(factored) == 3  # sizes 0, 1 and 2
-    assert len(solved) == 4  # subsets (), (0,), (1,) and (0, 1)
+    # subsets (), (0,) and (0, 1): (1,) weighs 6 like (0,), so the owner
+    # solves that right-hand side of layer 1 once
+    assert len(solved) == 3
     factored.clear()
     # the empty set's weight is zero, so layer 0 has no right-hand side
     balanced = DataVector(1, 1, {(0,): (1,), (1,): (-1,)})
     local_check(Instance(1, 1, (pair_generator(),), balanced))
     assert len(factored) == 1
+
+
+def test_a_repeated_right_hand_side_is_solved_once(monkeypatch):
+    solved = spy(monkeypatch, HermiteForm, "solve")
+    layers = zsolve.GeneratorLayers([triangle(0, 1, 2)], 1)
+    x = layers.solve(1, (4,))
+    assert x is not None and layers.solve(1, (4,)) is x
+    # an unsolvable right-hand side is kept as well; vertex weights are even
+    assert layers.solve(1, (3,)) is None and layers.solve(1, (3,)) is None
+    # the same right-hand side of another layer is a solve of its own
+    assert layers.solve(2, (4,)) == (4,)
+    assert [args[1] for args in solved] == [(4,), (3,), (4,)]
+
+
+def test_a_failed_verification_is_not_kept(monkeypatch):
+    layers = zsolve.GeneratorLayers([triangle(0, 1, 2)], 1)
+    product = IntMatrix.mul_vec
+    monkeypatch.setattr(
+        IntMatrix, "mul_vec", lambda m, x: tuple(v + 1 for v in product(m, x))
+    )
+    for _ in range(2):
+        with pytest.raises(VerificationError):
+            layers.solve(1, (4,))
+    monkeypatch.undo()
+    assert layers.solve(1, (4,)) == (2,)
+
+
+# Runs under `python -O`, which strips asserts: with the matrix product
+# patched to be off by one, the first solve of each right-hand side on an
+# owner still fails its verification, memo or not.
+_BROKEN_PRODUCT = """
+import sys
+from datalin.core import DataVector, Instance, VerificationError
+from datalin.intlin import IntMatrix
+from datalin.zsolve import local_check
+product = IntMatrix.mul_vec
+IntMatrix.mul_vec = lambda m, x: tuple(v + 1 for v in product(m, x))
+assert False, "asserts are live"
+pair = DataVector(1, 1, {(0,): (1,), (1,): (1,)})
+try:
+    local_check(Instance(1, 1, (pair,), DataVector(1, 1, {(5,): (2,)})))
+except VerificationError as exc:
+    print(sys.flags.optimize, type(exc).__name__, exc)
+"""
+
+
+def test_local_check_verifies_each_first_solve_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_PRODUCT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "1 VerificationError HNF solver produced a non-solution\n"
 
 
 def test_layer_columns_dedup():
