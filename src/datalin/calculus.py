@@ -39,6 +39,7 @@ from .core import (
     vec_scale,
     weight,
     weight_table,
+    weights_of_size,
     zero_vec,
 )
 from .intlin import IntMatrix, rank_full
@@ -137,9 +138,9 @@ def proportionality_check(h: Hypergraph, x, l: int) -> bool:
     if not (m <= l <= h.arity) or not set(xs) <= h.vertices:
         raise ShapeError("need x within the vertex set and |x| <= l <= arity")
     total = zero_vec(h.dim)
-    for y in nonzero_weight_sets(h, l):
+    for y, w in weights_of_size(h, l).items():
         if set(xs) <= set(y):
-            total = vec_add(total, weight(h, y))
+            total = vec_add(total, w)
     expected = vec_scale(comb(h.arity - m, l - m), weight(h, xs))
     return total == expected
 
@@ -185,7 +186,7 @@ def verify_simple(h: Hypergraph, spec: SimpleSpec) -> bool:
         for x in itertools.product(*zip(spec.A, spec.B)):
             sign = -1 if len(b_set.intersection(x)) % 2 else 1
             expected[kset(x)] = vec_scale(sign, spec.a)
-    if {x: weight(h, x) for x in nonzero_weight_sets(h, m)} != expected:
+    if weights_of_size(h, m) != expected:
         return False
     return is_m_isolated(h, m - 1) if m >= 1 else True
 
@@ -535,8 +536,8 @@ def _express_via_simple(
             )
             entries.append((s_hg, s_spec, s_terms))
             residual_terms.append((-1, s_hg.as_data_vector(), {}))
-            for x in nonzero_weight_sets(s_hg, level):
-                w = vec_add(weights.get(x, zero), vec_scale(-1, weight(s_hg, x)))
+            for x, placed in weights_of_size(s_hg, level).items():
+                w = vec_add(weights.get(x, zero), vec_scale(-1, placed))
                 if any(w):
                     weights[x] = w
                 else:

@@ -7,6 +7,12 @@ integers and are interned to internal integer ids; values beyond 53 bits
 must be decimal strings, and emitted values are always decimal strings so
 the format is lossless.
 
+An instance is read and checked in one pass over its entries: each atom is
+interned as it is met (a name already in the table is one dict lookup),
+each key is sorted once and handed to `DataVector` in canonical form, and
+the location of an entry or a value (such as `target[12].value[0]`) is
+built only for the message of the error that names it.
+
 Every command takes one path through `main`: the parser built at import,
 one load of the instance file (for all but `gen`), handed to the command as
 (args, inst, table), and one error boundary.  Input problems raise
@@ -79,6 +85,12 @@ class AtomTable:
         raise FormatError("atoms must be strings or nonnegative integers")
 
     def intern(self, raw: Any) -> Atom:
+        # a name already in the table is found with one lookup; a bool or a
+        # float hashes equal to an int and must reach `canonical`'s checks
+        if type(raw) is int or type(raw) is str:
+            found = self.ids.get(raw)
+            if found is not None:
+                return found
         name = self.canonical(raw)
         if name not in self.ids:
             self.ids[name] = len(self.names)
@@ -117,25 +129,40 @@ def parse_data_vector(
     if not isinstance(raw, list):
         raise FormatError(f"{where}: expected a list of entries")
     entries: dict = {}
+    intern = table.intern
     for i, ent in enumerate(raw):
-        spot = f"{where}[{i}]"
-        if not isinstance(ent, dict) or set(ent) != {"set", "value"}:
-            raise FormatError(f'{spot}: expected {{"set": …, "value": …}}')
+        if (
+            not isinstance(ent, dict)
+            or len(ent) != 2
+            or "set" not in ent
+            or "value" not in ent
+        ):
+            raise FormatError(f'{where}[{i}]: expected {{"set": …, "value": …}}')
         atoms = ent["set"]
         vals = ent["value"]
         if not isinstance(atoms, list) or len(atoms) != arity:
-            raise FormatError(f"{spot}.set: expected {arity} atoms")
+            raise FormatError(f"{where}[{i}].set: expected {arity} atoms")
         if not isinstance(vals, list) or len(vals) != dim:
-            raise FormatError(f"{spot}.value: expected {dim} integers")
-        key_atoms = [table.intern(a) for a in atoms]
-        if len(set(key_atoms)) != arity:
-            raise FormatError(f"{spot}.set: atoms must be distinct")
-        key = tuple(sorted(key_atoms))
+            raise FormatError(f"{where}[{i}].value: expected {dim} integers")
+        key = tuple(sorted(map(intern, atoms)))
+        if len(set(key)) != arity:
+            raise FormatError(f"{where}[{i}].set: atoms must be distinct")
         if key in entries:
-            raise FormatError(f"{spot}.set: duplicate set within one vector")
-        entries[key] = tuple(
-            _parse_int(v, f"{spot}.value[{j}]") for j, v in enumerate(vals)
-        )
+            raise FormatError(f"{where}[{i}].set: duplicate set within one vector")
+        # `_parse_int`'s rules, with a plain int or string read in place
+        value = []
+        for j, v in enumerate(vals):
+            if type(v) is str:
+                try:
+                    v = int(v)
+                except ValueError:
+                    raise FormatError(
+                        f"{where}[{i}].value[{j}]: bad decimal string {v!r}"
+                    ) from None
+            elif type(v) is not int:
+                v = _parse_int(v, f"{where}[{i}].value[{j}]")
+            value.append(v)
+        entries[key] = tuple(value)
     return DataVector(arity, dim, entries)
 
 

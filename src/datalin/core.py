@@ -6,15 +6,22 @@ of a data vector: the vector itself together with an explicit vertex set
 (possibly with isolated vertices).  All values are immutable after
 construction and all integers are arbitrary precision.
 
+A data vector has one constructor.  A key that is already canonical (a
+tuple of `arity` strictly increasing atoms, the first nonnegative: exactly
+the keys with `kset(key) == key`) is kept after an O(k) comparison, with no
+re-sort; every other key goes through `kset`.
+
 Subset weights (the weight of a vertex set X is the sum of the values at
-the keys containing X) have one builder, `weight_table`: it adds each
-entry's value into each of its subsets of the sizes asked for (at most
-entries * 2^k additions) and keeps the nonzero weights, one sorted dict per
-subset size.  A hypergraph keeps the table of its `mu`, built on first use,
-for `weight` and `nonzero_weight_sets`, so `mu` must not be mutated after
-construction.  A bare data vector keeps none (it may live as long as its
-instance, a hypergraph for one call): its weights are read from
-`weight_table`, for the sizes the caller reads.
+the keys containing X) have one builder, `weight_table`: size 0 is one
+column sum over the values, size `arity` is the entries themselves, and
+each middle size adds every entry's value into each of its subsets of that
+size (at most entries * 2^k additions in all); it keeps the nonzero
+weights, one sorted dict per subset size.  A hypergraph keeps the table of
+its `mu`, built on first use, for `weight`, `weights_of_size` and
+`nonzero_weight_sets`, so `mu` must not be mutated after construction.  A
+bare data vector keeps none (it may live as long as its instance, a
+hypergraph for one call): its weights are read from `weight_table`, for
+the sizes the caller reads.
 
 Every sum of renamed, scaled copies is one `dv_combine` call, which adds
 each term's renamed values into one dict and canonicalises once (entries *
@@ -26,6 +33,7 @@ are such calls: `dv_add` and `dv_sub` sum the terms (1, a) and (+-1, b),
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -81,16 +89,26 @@ class DataVector:
     entries: Mapping[KSet, IntVector] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        arity, dim = self.arity, self.dim
         clean: dict[KSet, IntVector] = {}
         for key, val in self.entries.items():
-            k = kset(key)
-            if len(k) != self.arity:
-                raise ShapeError(f"key {k} has length {len(k)}, arity is {self.arity}")
+            # a canonical key (kset(key) == key) is kept after an O(k) check
+            if not (
+                type(key) is tuple
+                and len(key) == arity
+                and (not key or key[0] >= 0)
+                and all(map(operator.lt, key, key[1:]))
+            ):
+                key = kset(key)
+                if len(key) != arity:
+                    raise ShapeError(
+                        f"key {key} has length {len(key)}, arity is {arity}"
+                    )
             v = tuple(val)
-            if len(v) != self.dim:
-                raise ShapeError(f"value {v} has length {len(v)}, dim is {self.dim}")
+            if len(v) != dim:
+                raise ShapeError(f"value {v} has length {len(v)}, dim is {dim}")
             if any(v):
-                clean[k] = v
+                clean[key] = v
         object.__setattr__(self, "entries", clean)
 
     def support(self) -> frozenset[Atom]:
@@ -102,10 +120,10 @@ class DataVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DataVector):
             return NotImplemented
-        return (self.arity, self.dim, dict(self.entries)) == (
+        return (self.arity, self.dim, self.entries) == (
             other.arity,
             other.dim,
-            dict(other.entries),
+            other.entries,
         )
 
     def __hash__(self) -> int:
@@ -128,7 +146,7 @@ def dv_sub(a: DataVector, b: DataVector) -> DataVector:
 
 def check_injective_on(pi: Mapping[Atom, Atom], atoms: Iterable[Atom]) -> None:
     """Raise unless the renaming (extended by identity) is injective on atoms."""
-    images = [pi.get(a, a) for a in atoms]
+    images = list(map(pi.get, atoms, atoms))
     if len(set(images)) != len(images):
         raise ShapeError(f"renaming is not injective on {sorted(set(atoms))}: {dict(pi)}")
 
@@ -149,16 +167,22 @@ def dv_combine(
     are fixed).
 
     Each term must have the given arity and dimension, and its renaming
-    must be injective on a's support (ShapeError otherwise, also at c = 0);
-    the renamed, scaled values are added into one dict, which is
-    canonicalised once."""
+    must be injective on a's support (ShapeError otherwise, also at c = 0;
+    each distinct vector's support is computed once per call); the renamed,
+    scaled values are added into one dict, which is canonicalised once."""
     acc: dict[KSet, IntVector] = {}
     get = acc.get
+    # each term's vector's support, by id; the vector is held with it, so
+    # no id is reused while the call runs
+    supports: dict[int, tuple[DataVector, frozenset[Atom]]] = {}
     for c, a, pi in terms:
         if a.arity != arity or a.dim != dim:
             raise ShapeError(f"shape mismatch: ({arity},{dim}) vs ({a.arity},{a.dim})")
         if pi:
-            check_injective_on(pi, a.support())
+            held = supports.get(id(a))
+            if held is None:
+                held = supports[id(a)] = (a, a.support())
+            check_injective_on(pi, held[1])
         if c == 0:
             continue
         rename = pi.get
@@ -225,20 +249,31 @@ def weight_table(
     """Nonzero subset weights of a data vector, one dict with its keys
     sorted per subset size in `sizes` (every size 0..arity when None), in
     that order: the weight of X is the sum of the values at the keys
-    containing X.  Each call builds fresh dicts, of the sizes asked only."""
-    if sizes is None:
-        sizes = range(a.arity + 1)
-    layers = [(size, {}) for size in sizes]
-    for key, val in a.entries.items():
-        for size, layer in layers:
+    containing X.  Size 0 is one column sum over the values and size
+    `arity` the entries themselves; each middle size adds every entry's
+    value into each of its subsets.  Each call builds fresh dicts, of the
+    sizes asked only."""
+    k, entries = a.arity, a.entries
+    sizes = range(k + 1) if sizes is None else tuple(sizes)
+    middle = {size: {} for size in sizes if size != 0 and size != k}
+    for key, val in entries.items():
+        for size, layer in middle.items():
             for x in itertools.combinations(key, size):
                 cur = layer.get(x)
                 layer[x] = (
                     val if cur is None else tuple([p + q for p, q in zip(cur, val)])
                 )
-    return tuple(
-        {x: layer[x] for x in sorted(layer) if any(layer[x])} for _, layer in layers
-    )
+    tables = []
+    for size in sizes:
+        if size == 0:
+            total = tuple(map(sum, zip(*entries.values())))
+            tables.append({(): total} if any(total) else {})
+        elif size == k:
+            tables.append({x: entries[x] for x in sorted(entries)})
+        else:
+            layer = middle[size]
+            tables.append({x: layer[x] for x in sorted(layer) if any(layer[x])})
+    return tuple(tables)
 
 
 def encode_hypergraph(a: DataVector) -> Hypergraph:
@@ -257,11 +292,17 @@ def weight(h: Hypergraph, x: Iterable[Atom]) -> IntVector:
     return zero_vec(h.dim) if w is None else w
 
 
-def nonzero_weight_sets(h: Hypergraph, size: int) -> list[KSet]:
-    """The vertex sets of the given size with nonzero weight, sorted."""
+def weights_of_size(h: Hypergraph, size: int) -> Mapping[KSet, IntVector]:
+    """The nonzero weights of the vertex sets of the given size, keyed by
+    set in sorted order: the hypergraph's own table, not to be mutated."""
     if not 0 <= size <= h.arity:
         raise ShapeError(f"need 0 <= size <= arity {h.arity}, got {size}")
-    return list(h._weight_table[size])
+    return h._weight_table[size]
+
+
+def nonzero_weight_sets(h: Hypergraph, size: int) -> list[KSet]:
+    """The vertex sets of the given size with nonzero weight, sorted."""
+    return list(weights_of_size(h, size))
 
 
 def hg_add(g: Hypergraph, h: Hypergraph) -> Hypergraph:

@@ -16,6 +16,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -57,7 +58,7 @@ class IntMatrix:
     def mul_vec(self, x: Sequence[int]) -> tuple[int, ...]:
         if len(x) != self.cols:
             raise ShapeError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, x)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, x)) for row in self.entries)
 
 
 def inf_norm(v: Iterable[int]) -> int:

@@ -106,6 +106,74 @@ def test_parse_rejects_malformed_vectors():
             parse_instance(raw, AtomTable())
 
 
+# A malformed second entry of one vector, and the exact message `main` prints
+# for it with exit code 2.  The first entry interns the integer atoms 0 and 1.
+FIRST = {"set": [0, 1], "value": ["1", "0"]}
+ENTRY_ERRORS = {
+    "not a dict": (
+        "target", ["a", "b"], 'target[1]: expected {"set": …, "value": …}'
+    ),
+    "extra key": (
+        "generators",
+        {"set": ["a", "b"], "value": ["1", "0"], "note": "x"},
+        'generators[0][1]: expected {"set": …, "value": …}',
+    ),
+    "set length": (
+        "target", {"set": ["a"], "value": ["1", "0"]}, "target[1].set: expected 2 atoms"
+    ),
+    "value length": (
+        "generators",
+        {"set": ["a", "b"], "value": ["1"]},
+        "generators[0][1].value: expected 2 integers",
+    ),
+    "repeated atom": (
+        "target",
+        {"set": ["a", "a"], "value": ["1", "0"]},
+        "target[1].set: atoms must be distinct",
+    ),
+    "duplicate set": (
+        "target",
+        {"set": [1, "0"], "value": ["2", "0"]},
+        "target[1].set: duplicate set within one vector",
+    ),
+    "decimal point": (
+        "target",
+        {"set": ["a", "b"], "value": ["0", "1.5"]},
+        "target[1].value[1]: bad decimal string '1.5'",
+    ),
+    "float value": (
+        "generators",
+        {"set": ["a", "b"], "value": [1.5, "0"]},
+        "generators[0][1].value[0]: integers beyond 53 bits must be decimal strings",
+    ),
+    "bool value": (
+        "target",
+        {"set": ["a", "b"], "value": ["0", True]},
+        "target[1].value[1]: expected an integer",
+    ),
+    "bool atom": (
+        "target",
+        {"set": [True, "a"], "value": ["1", "0"]},
+        "atoms must be strings or nonnegative integers",
+    ),
+    "float atom": (
+        "generators",
+        {"set": ["a", 1.0], "value": ["1", "0"]},
+        "atoms must be strings or nonnegative integers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_ERRORS))
+def test_entry_errors_keep_their_messages(tmp_path, capsys, case):
+    field, bad, message = ENTRY_ERRORS[case]
+    raw = {"arity": 2, "dimension": 2, "generators": [[FIRST]], "target": [FIRST]}
+    raw[field] = [[FIRST, bad]] if field == "generators" else [FIRST, bad]
+    path = write(tmp_path, "bad.json", raw)
+    assert main(["check-local", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_witness_round_trip():
     table = AtomTable()
     inst = parse_instance(EX1, table)

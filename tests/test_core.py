@@ -42,12 +42,30 @@ def small_vec(k, d=1):
 perm_st = st.permutations(list(range(7)))
 
 
+class _ListKeyed:
+    """A mapping stand-in whose keys are lists, which no dict can hold."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 def test_datavector_canonicalizes_and_drops_zeros():
     v = DataVector(2, 1, {(1, 0): (1,), (2, 3): (0,)})
     assert v.entries == {(0, 1): (1,)}
     assert v.support() == frozenset({0, 1})
     assert v.entries[(0, 1)] == (1,)
     assert (0, 2) not in v.entries
+    # unsorted tuples, other iterables and list values are canonicalised;
+    # canonical keys are kept as they are
+    w = DataVector(2, 2, {(5, 2): [1, 0], frozenset({4, 0}): (0, 2), (1, 3): (1, 1)})
+    assert w.entries == {(2, 5): (1, 0), (0, 4): (0, 2), (1, 3): (1, 1)}
+    assert all(type(k) is tuple and type(v) is tuple for k, v in w.entries.items())
+    listed = DataVector(3, 1, _ListKeyed([([4, 0, 2], [7]), ([1, 2, 3], [0])]))
+    assert listed.entries == {(0, 2, 4): (7,)}
+    assert DataVector(1, 1, {(0,): (1,)}) == DataVector(1, 1, {frozenset({0}): [1]})
 
 
 def test_datavector_shape_errors():
@@ -55,6 +73,26 @@ def test_datavector_shape_errors():
         DataVector(2, 1, {(0, 0): (1,)})
     with pytest.raises(ShapeError):
         DataVector(1, 2, {(0,): (1,)})
+    bad_keys = {
+        (0, 0): "not distinct",  # repeated atom
+        (3, 1, 3): "not distinct",  # repeated and too long
+        (-1, 2): "negative atom",
+        (-2, -1): "negative atom",  # increasing, yet negative
+        (2, -1): "negative atom",
+        (0, 1, 2): "has length 3",
+        (4,): "has length 1",
+    }
+    for key, message in bad_keys.items():
+        with pytest.raises(ShapeError, match=message):
+            DataVector(2, 1, {key: (1,)})
+    with pytest.raises(ShapeError, match="not distinct"):
+        DataVector(2, 1, _ListKeyed([([1, 1], (1,))]))
+    with pytest.raises(ShapeError, match="has length 0, dim is 1"):
+        DataVector(1, 1, {(0,): (1,), (1,): ()})
+    # a renaming onto a negative atom gives a key no DataVector holds
+    v = DataVector(1, 1, {(0,): (1,), (2,): (1,)})
+    with pytest.raises(ShapeError, match="negative atom"):
+        dv_combine(1, 1, [(1, v, {0: -1})])
 
 
 def test_arithmetic_basics():
