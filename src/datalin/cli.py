@@ -280,13 +280,18 @@ def _report(args, line: str, payload: dict) -> None:
 
 
 def cmd_zsolve(args, inst: Instance, table: AtomTable) -> int:
-    ok = z_solvable(inst)
-    payload: dict = {"command": "zsolve", "solvable": ok}
-    if ok and args.json:
+    if args.json:
+        # the extractor checks the local criterion first: None means it
+        # failed, and CapExceeded comes only after it passed
         try:
             w = extract_witness_general(inst)
+            ok = w is not None
         except CapExceeded:
-            w = None
+            w, ok = None, True
+    else:
+        ok = z_solvable(inst)
+    payload: dict = {"command": "zsolve", "solvable": ok}
+    if ok and args.json:
         payload["witness"] = None if w is None else emit_witness(w, table)
     _report(args, "Z-SOLVABLE" if ok else "NOT-Z-SOLVABLE", payload)
     return 0 if ok else 1

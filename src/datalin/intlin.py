@@ -9,9 +9,10 @@ against one matrix (a layer of the Z criterion) hold the factorisation
 instead; `rank` reads the pivot count of the same factorisation.  Also:
 membership in the nonnegative rational cone by a phase-1 simplex with
 Bland's rule on an all-integer tableau (fraction-free pivoting over one
-common denominator; only the returned certificate is in fractions), and
-Pottier's exponential norm bound on minimal nonnegative solutions.  No
-floating point anywhere.
+common denominator D), and Pottier's exponential norm bound on minimal
+nonnegative solutions.  The simplex verifies its certificate in integers,
+on the numerators over D; fractions appear only in the certificate it
+returns.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -46,11 +47,19 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            raise ShapeError("empty column list needs an explicit row count")
-        return IntMatrix.from_rows([[col[i] for col in cols] for i in range(nrows)])
+        """The matrix with these columns; `nrows` is required when there
+        are none and must agree with them otherwise.  Columns of unequal
+        length raise `ShapeError`."""
+        if not cols:
+            if nrows is None:
+                raise ShapeError("empty column list needs an explicit row count")
+            return IntMatrix(nrows, 0, ((),) * nrows)
+        r = len(cols[0])
+        if any(len(col) != r for col in cols):
+            raise ShapeError("columns differ in length")
+        if nrows is not None and nrows != r:
+            raise ShapeError(f"columns have {r} rows, not the declared {nrows}")
+        return IntMatrix(r, len(cols), tuple(zip(*cols)))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -124,37 +133,49 @@ class HermiteForm:
 def hnf(m: IntMatrix) -> HermiteForm:
     """Factor M once: column operations, recorded in a unimodular
     transform, bring M to column echelon form (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4).  Deterministic, so every
-    solve gives the same x for the same M and y."""
+    Computational Algebraic Number Theory, 2.4).  Row by row, the first
+    column of least nonzero |entry| at or after the pivot position is
+    swapped into it and reduces every later column, until no later column
+    is nonzero in that row.  Deterministic, so every solve gives the same
+    x for the same M and y."""
     r, n = m.rows, m.cols
-    # column-major working copies
-    h = [list(m.column(j)) for j in range(n)]
-    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    # column-major working copies; U starts as the identity
+    h = [list(col) for col in zip(*m.entries)] if r else [[] for _ in range(n)]
+    u = [[0] * n for _ in range(n)]
+    for j, col in enumerate(u):
+        col[j] = 1
     pivots: list[tuple[int, int]] = []  # (row, column-position)
     c = 0
     for i in range(r):
         if c == n:
             break
         while True:
-            nz = [j for j in range(c, n) if h[j][i] != 0]
-            if not nz:
+            jmin, least = -1, 0
+            for j in range(c, n):
+                a = h[j][i]
+                if a:
+                    a = abs(a)
+                    if jmin < 0 or a < least:
+                        jmin, least = j, a
+            if jmin < 0:
                 break
-            jmin = min(nz, key=lambda j: abs(h[j][i]))
             h[c], h[jmin] = h[jmin], h[c]
             u[c], u[jmin] = u[jmin], u[c]
+            hc, uc = h[c], u[c]
+            p = hc[i]
             done = True
             for j in range(c + 1, n):
-                if h[j][i]:
-                    q = h[j][i] // h[c][i]
-                    h[j] = [a - q * b for a, b in zip(h[j], h[c])]
-                    u[j] = [a - q * b for a, b in zip(u[j], u[c])]
-                    if h[j][i]:
+                a = h[j][i]
+                if a:
+                    q = a // p
+                    h[j] = hj = [x - q * y for x, y in zip(h[j], hc)]
+                    u[j] = [x - q * y for x, y in zip(u[j], uc)]
+                    if hj[i]:
                         done = False
             if done:
+                pivots.append((i, c))
+                c += 1
                 break
-        if c < n and h[c][i] != 0:
-            pivots.append((i, c))
-            c += 1
     return HermiteForm(
         m, tuple(map(tuple, h)), tuple(map(tuple, u)), tuple(pivots)
     )
@@ -186,7 +207,10 @@ def cone_member_certificate(
     one common denominator D > 0 stand for the rational tableau T / D, and
     every entry of T is a minor of the initial [sA | I | sy], so each
     pivot's division by the previous D is exact.  The pivots are those of
-    the rational simplex; always terminates."""
+    the rational simplex; always terminates.  The certificate is verified
+    on its integer numerators over D (D > 0; q >= 0 and sum q_i g_i = D*y,
+    or z.y < 0 and z.g_i >= 0) before it is returned as fractions; a
+    failed check raises `VerificationError`."""
     d = len(y)
     for g in gens:
         if len(g) != d:
@@ -224,29 +248,29 @@ def cone_member_certificate(
                 tab[i] = [(piv * a - f * b) // den for a, b in zip(tab[i], prow)]
         den = piv
         basis[leave] = entering
+    if den <= 0:
+        raise VerificationError("simplex common denominator must be positive")
     art = [row for row, b in zip(tab, basis) if b >= n]
     if sum(row[-1] for row in art) == 0:
-        q = [Fraction(0)] * n
-        for i, b in enumerate(basis):
+        q = [0] * n
+        for row, b in zip(tab, basis):
             if b < n:
-                q[b] = Fraction(tab[i][-1], den)
-        if any(qi < 0 for qi in q):
+                q[b] = row[-1]
+        if any(qj < 0 for qj in q):
             raise VerificationError("simplex certificate has a negative coefficient")
         for i in range(d):
-            if sum(q[j] * gens[j][i] for j in range(n)) != y[i]:
+            if sum(qj * g[i] for qj, g in zip(q, gens)) != den * y[i]:
                 raise VerificationError("simplex certificate failed re-verification")
-        return True, tuple(q)
+        return True, tuple(Fraction(qj, den) for qj in q)
     # simplex multipliers pi_i = 1 - (reduced cost of artificial column
     # n+i), which is that column summed over the artificial rows, over D
-    z = tuple(
-        -sign[i] * Fraction(sum(row[n + i] for row in art), den) for i in range(d)
-    )
-    if sum(z[i] * y[i] for i in range(d)) >= 0:
+    z = [-sign[i] * sum(row[n + i] for row in art) for i in range(d)]
+    if sum(map(operator.mul, z, y)) >= 0:
         raise VerificationError("Farkas functional failed: z.y must be negative")
-    for j in range(n):
-        if sum(z[i] * gens[j][i] for i in range(d)) < 0:
+    for g in gens:
+        if sum(map(operator.mul, z, g)) < 0:
             raise VerificationError("Farkas functional failed: z.g must be nonnegative")
-    return False, z
+    return False, tuple(Fraction(zi, den) for zi in z)
 
 
 def _leaving_row(

@@ -10,9 +10,14 @@ the reversible generators as an integer (Z) problem.  Caps make the
 search honest: truncation yields INCONCLUSIVE, never a wrong certificate.
 
 The split shares cone certificates: each one decides every generator it
-covers, so one simplex runs per generator still undecided.  One
-`GeneratorLayers` owner of all generators gives the Z refusal and, when
-every generator is reversible, also checks each guess's residual.
+covers, so one simplex runs per generator still undecided.  The Z refusal
+and every residual check need only a decision, so each stops at its first
+failing subset (`GeneratorLayers.admits`), and a SOLVABLE answer's
+residual report is the passing `LocalReport(True, ())`.  When every
+generator is reversible the only guess is the empty one, whose residual
+is the target over all generators: the Z refusal was its check, so the
+answer is SOLVABLE with guess `()` (it still counts as one guess against
+`guess_cap`, after the `coeff_cap` test) and no residual is checked.
 """
 
 from __future__ import annotations
@@ -151,35 +156,37 @@ def n_solvable(
     """Decide N-solvability.
 
     Fast refusal: not Z-solvable over all generators implies not N-solvable;
-    one `GeneratorLayers` owner of all generators decides it.  Otherwise
-    enumerate the multiplicities of nonreversible copies (pruned by the
-    projection equation), place each copy canonically over the target
-    support plus fresh atoms, and Z-solve the residual over the reversible
-    generators only.  Exhausted enumeration within the caps is a certificate
-    of UNSOLVABLE; truncation reports INCONCLUSIVE with the cap that tripped
-    as its `reason`.
+    one `GeneratorLayers` owner of all generators decides it.  With every
+    generator reversible, that check already decided the one (empty)
+    guess.  Otherwise enumerate the multiplicities of nonreversible copies
+    (pruned by the projection equation), place each copy canonically over
+    the target support plus fresh atoms, and Z-solve the residual over the
+    reversible generators only.  Exhausted enumeration within the caps is
+    a certificate of UNSOLVABLE; truncation reports INCONCLUSIVE with the
+    cap that tripped as its `reason`.
     """
     gens = inst.generators
     projections = [data_projection(g) for g in gens]
     part = _partition(projections)
     bounds = _bound(inst, part, projections)
-    layers = GeneratorLayers(gens, inst.dim)
-    if not layers.check(inst.target).decision:
+    if not GeneratorLayers(gens, inst.dim).admits(inst.target):
         return NDecision("UNSOLVABLE", bounds)
 
     if bounds.coeff_bound > coeff_cap:
         return NDecision("INCONCLUSIVE", bounds, reason="coeff_cap")
 
+    if not part.nonreversible:
+        # The only guess is the empty one: its residual is the target and
+        # its generators are all of them, so the Z refusal was its check.
+        if guess_cap < 1:
+            return NDecision("INCONCLUSIVE", bounds, reason="guess_cap")
+        return NDecision("SOLVABLE", bounds, (), LocalReport(True, ()))
+
     # Every guess's residual is checked against the reversible generators'
-    # layers, each factored once per call; with no nonreversible generator
-    # they are the layers of the Z refusal above.  Layer 0 holds their
-    # nonzero projections (the weight of the empty set is a vector's
-    # projection), which span the same lattice as all of them.
-    rev = (
-        GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
-        if part.nonreversible
-        else layers
-    )
+    # layers, each factored once per call.  Layer 0 holds their nonzero
+    # projections (the weight of the empty set is a vector's projection),
+    # which span the same lattice as all of them.
+    rev = GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
     total_cap = bounds.coeff_bound
@@ -250,10 +257,9 @@ def n_solvable(
             inst.dim,
             [(1, inst.target, {}), *((-1, gens[gi], ren) for gi, ren in terms)],
         )
-        report = rev.check(residual)
-        if report.decision:
+        if rev.admits(residual):
             guess = tuple((gi, tuple(sorted(ren.items()))) for gi, ren in terms)
-            return NDecision("SOLVABLE", bounds, guess, report)
+            return NDecision("SOLVABLE", bounds, guess, LocalReport(True, ()))
     return NDecision("UNSOLVABLE", bounds)
 
 

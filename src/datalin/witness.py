@@ -99,7 +99,7 @@ def extract_witness_general(inst: Instance) -> Optional[Witness]:
     `calculus._MAX_TERMS`; distinct from unsolvable)."""
     # one owner factors each layer for the check and the decomposition alike
     layers = GeneratorLayers(inst.generators, inst.dim)
-    if not layers.check(inst.target).decision:
+    if not layers.admits(inst.target):
         return None
     quick = _single_copy_witness(inst)
     if quick is not None:

@@ -9,7 +9,10 @@ factored once and every target subset of that size is one right-hand side.
 
 `GeneratorLayers` owns a generator family's layers: it encodes the
 generators once and builds and factors each layer on first use, so any
-number of targets (`check`) and decomposition steps share them.  Every
+number of targets and decomposition steps share them.  One lazy walk,
+`failing_subsets`, yields a target's failing subsets in (size, subset)
+order: `check` collects all of them into a `LocalReport`, and `admits`,
+for callers that need only the decision, stops at the first.  Every
 layer solve goes through its `solve`, which solves each distinct (size,
 right-hand side) once and keeps the answer, a solution or None; the first
 solve of each is verified (M*x = y) by `HermiteForm.solve`.  It keeps
@@ -19,7 +22,7 @@ nothing on its input vectors and lives as long as its caller holds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     DataVector,
@@ -84,7 +87,8 @@ _UNSOLVED = object()  # `GeneratorLayers.solve`'s mark for a key not yet solved
 class GeneratorLayers:
     """The layers of one generator family of dimension `dim`, each built
     and factored once, on first use, and each distinct right-hand side of
-    a layer solved once."""
+    a layer solved once.  A target's failing subsets come from one lazy
+    walk: `check` reports them all, `admits` stops at the first."""
 
     def __init__(self, generators: Sequence[DataVector], dim: int):
         self.hypergraphs = tuple(encode_hypergraph(g) for g in generators)
@@ -110,19 +114,29 @@ class GeneratorLayers:
             x = self._solved[key] = self.layer(size).factor.solve(y)
         return x
 
-    def check(self, target: DataVector) -> LocalReport:
-        """Check every layer of the local criterion for `target` and report
-        all failing subsets, sorted by (size, lexicographic subset).  Only
-        the layers where the target has a nonzero subset are built."""
-        failures: list[LocalFailure] = []
+    def failing_subsets(self, target: DataVector) -> Iterator[LocalFailure]:
+        """The failing subsets of the local criterion for `target`, lazily,
+        in (size, lexicographic subset) order, over one `weight_table`
+        pass.  Only the layers where the target has a nonzero subset are
+        built, and only as far as the walk is taken."""
         for size, weights in enumerate(weight_table(target)):
             if not weights:
                 continue
             columns = len(self.layer(size).reps)
             for x, w in weights.items():
                 if self.solve(size, w) is None:
-                    failures.append(LocalFailure(x, w, columns))
-        return LocalReport(decision=not failures, failures=tuple(failures))
+                    yield LocalFailure(x, w, columns)
+
+    def check(self, target: DataVector) -> LocalReport:
+        """Check every layer of the local criterion for `target` and report
+        all failing subsets, in the order of `failing_subsets`."""
+        failures = tuple(self.failing_subsets(target))
+        return LocalReport(decision=not failures, failures=failures)
+
+    def admits(self, target: DataVector) -> bool:
+        """`self.check(target).decision`, stopping at the first failing
+        subset."""
+        return next(self.failing_subsets(target), None) is None
 
 
 def local_check(inst: Instance) -> LocalReport:
@@ -131,4 +145,5 @@ def local_check(inst: Instance) -> LocalReport:
 
 
 def z_solvable(inst: Instance) -> bool:
-    return local_check(inst).decision
+    """The decision of `local_check`, stopping at the first failure."""
+    return GeneratorLayers(inst.generators, inst.dim).admits(inst.target)

@@ -20,12 +20,14 @@ from datalin import calculus, intlin
 from datalin.calculus import CalculusError
 from datalin.core import DataVector, Instance, ShapeError, VerificationError
 from datalin.witness import WitnessTerm, Witness, extract_witness_general
+from datalin.zsolve import GeneratorLayers
 
 from conftest import (
     edge_target,
     no_leaving_row,
     pair_generator,
     point_target,
+    spy,
     triangle,
 )
 
@@ -267,6 +269,30 @@ def test_zsolve_json_witness_verifies(tmp_path, capsys):
     wpath = write(tmp_path, "w.json", payload["witness"])
     assert main(["verify", inst_path, wpath]) == 0
     assert "VERIFIED" in capsys.readouterr().out
+
+
+def test_zsolve_json_checks_the_local_criterion_once(tmp_path, capsys, monkeypatch):
+    # the decision comes from the extractor's own membership check
+    def unused(inst):
+        raise AssertionError("zsolve --json must not call z_solvable")
+
+    monkeypatch.setattr("datalin.cli.z_solvable", unused)
+    walks = spy(monkeypatch, GeneratorLayers, "failing_subsets")
+    odd = dict(EX2, target=[{"set": ["g", "d"], "value": ["3"]}])
+    for name, doc, code in [("ex2", EX2, 0), ("odd2", odd, 1)]:
+        path = write(tmp_path, f"{name}.json", doc)
+        assert main(["zsolve", path, "--json"]) == code
+        payload = json.loads(capsys.readouterr().out.splitlines()[1])
+        assert payload["solvable"] is (code == 0)
+        assert ("witness" in payload) is (code == 0)
+        assert len(walks) == 1
+        walks.clear()
+    # a cap trips only after the check passed: solvable, without a witness
+    monkeypatch.setattr(calculus, "_MAX_STEPS", 1)
+    assert main(["zsolve", write(tmp_path, "ex2.json", EX2), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert (payload["solvable"], payload["witness"]) == (True, None)
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("argv", [["witness"], ["zsolve", "--json"]])

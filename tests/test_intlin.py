@@ -55,13 +55,141 @@ def test_self_check_raises_verification_error_under_python_O():
     assert out == "1 VerificationError HNF solver produced a non-solution\n"
 
 
+# Also under `python -O`: with a ratio test that leaves at the row of
+# largest ratio, the simplex ends on a negative coefficient, which the
+# integer check of its certificate must still refuse.
+_WRONG_LEAVING_ROW = """
+import sys
+from datalin import intlin
+from datalin.core import VerificationError
+def largest_ratio(tab, basis, entering):
+    rows = [i for i, row in enumerate(tab) if row[entering] > 0]
+    return max(rows, key=lambda i: (tab[i][-1] / tab[i][entering], -i))
+intlin._leaving_row = largest_ratio
+assert False, "asserts are live"
+try:
+    intlin.cone_member_certificate([(1, 0), (1, 1)], (1, 2))
+except VerificationError as exc:
+    print(sys.flags.optimize, type(exc).__name__, exc)
+"""
+
+
+def test_cone_certificate_check_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_LEAVING_ROW],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == (
+        "1 VerificationError simplex certificate has a negative coefficient\n"
+    )
+
+
+def last_nonzero_row(tab, basis, entering):
+    """Patched in for `intlin._leaving_row`: the last row with any nonzero
+    entry in the entering column, whatever its sign or ratio."""
+    return [i for i, row in enumerate(tab) if row[entering]][-1]
+
+
+@pytest.mark.parametrize(
+    "gens, y, message",
+    [
+        ([(1, 0), (1, 1)], (1, 2), "negative coefficient"),
+        ([(1, 1), (1, -1)], (2, 0), "common denominator must be positive"),
+        ([(2, 1), (1, 2)], (3, 3), "z.y must be negative"),
+    ],
+)
+def test_cone_certificate_is_checked_in_integers(monkeypatch, gens, y, message):
+    # pivoting on a wrong row leaves a wrong tableau: a negative
+    # coefficient, a negative common denominator, or a functional that is
+    # not negative on the target
+    monkeypatch.setattr(intlin, "_leaving_row", last_nonzero_row)
+    with pytest.raises(VerificationError, match=message):
+        cone_member_certificate(gens, y)
+
+
 def test_matrix_construction_and_multiply():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert m.rows == 2 and m.cols == 2
     assert m.column(1) == (2, 4)
     assert m.mul_vec((1, -1)) == (-1, -1)
     assert IntMatrix.from_columns([[1, 3], [2, 4]]) == m
+    assert IntMatrix.from_columns([[1, 3], [2, 4]], nrows=2) == m
     assert IntMatrix.from_columns([], nrows=3).rows == 3
+    assert IntMatrix.from_columns([(), ()]) == IntMatrix(0, 2, ())
+
+
+@pytest.mark.parametrize(
+    "cols, nrows",
+    [
+        ([(1,), (2, 3)], None),  # a longer column after the first
+        ([(1, 2), (3,)], None),  # a shorter column after the first
+        ([(1, 2), (3, 4)], 3),  # a row count the columns contradict
+    ],
+    ids=["longer", "shorter", "nrows"],
+)
+def test_from_columns_refuses_ragged_columns(cols, nrows):
+    with pytest.raises(ShapeError):
+        IntMatrix.from_columns(cols, nrows=nrows)
+
+
+# hnf's factors (h, u, pivots) of fixed matrices, pinned: every solve,
+# witness and guess downstream depends on them exactly.
+HNF_PINS = [
+    (IntMatrix(2, 0, ((), ())), (), (), ()),
+    (IntMatrix(0, 3, ()), ((), (), ()), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ()),
+    (IntMatrix.from_rows([[2, 3]]), ((1,), (0,)), ((-1, 1), (3, -2)), ((0, 0),)),
+    (
+        IntMatrix.from_rows([[-4, 6, -10]]),
+        ((-2,), (0,), (0,)),
+        ((2, 1, 0), (-3, -2, 0), (-4, -1, 1)),
+        ((0, 0),),
+    ),
+    (
+        IntMatrix.from_rows([[0, 1], [1, 0]]),
+        ((1, 0), (0, 1)),
+        ((0, 1), (1, 0)),
+        ((0, 0), (1, 1)),
+    ),
+    (
+        IntMatrix.from_rows([[1, 2], [0, 0], [3, 5]]),
+        ((1, 0, 3), (0, 0, -1)),
+        ((1, 0), (-2, 1)),
+        ((0, 0), (2, 1)),
+    ),
+    (
+        IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]]),
+        ((1, 2), (0, 0), (0, 0)),
+        ((1, 0, 0), (-2, 1, 0), (-3, 0, 1)),
+        ((0, 0),),
+    ),
+    (
+        IntMatrix.from_rows([[0, 0, 0], [6, -10, 15]]),
+        ((0, 1), (0, 0), (0, 0)),
+        ((-4, -1, 1), (-5, -3, 0), (10, 3, -2)),
+        ((1, 0),),
+    ),
+    (
+        IntMatrix.from_rows(
+            [[2, -3, 5, 0, 7], [1, 4, -2, 6, -1], [0, 3, 3, -5, 2]]
+        ),
+        ((1, 6, 3), (0, 1, -16), (0, 0, 1), (0, 0, 0), (0, 0, 0)),
+        (
+            (2, 1, 0, 0, 0),
+            (-3, -2, 0, 2, 0),
+            (1, 0, 1, 0, -1),
+            (7, 0, -7, -3, 3),
+            (-20, 3, -21, -2, 22),
+        ),
+        ((0, 0), (1, 1), (2, 2)),
+    ),
+]
+
+
+@pytest.mark.parametrize("m, h, u, pivots", HNF_PINS)
+def test_hnf_factors_are_pinned(m, h, u, pivots):
+    f = hnf(m)
+    assert (f.matrix, f.h, f.u, f.pivots) == (m, h, u, pivots)
 
 
 def test_norms():

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
 from datalin import nsolve, zsolve
 from datalin.intlin import HermiteForm, cone_member
-from datalin.zsolve import GeneratorLayers, local_check
+from datalin.zsolve import GeneratorLayers, LocalReport, local_check
 from datalin.nsolve import (
+    NBoundData,
     data_projection,
     n_solvable,
     nonreversible_bound,
@@ -186,6 +187,37 @@ def test_n_solvable_factors_each_reversible_layer_at_most_once(monkeypatch):
     assert len(residuals) == 4
     # layers 0 and 1 of the reversible generators, once each
     assert len(factored) == pre + inst.arity + 1
+
+
+_ALL_REVERSIBLE = Instance(
+    1,
+    1,
+    (DataVector(1, 1, {(0,): (1,)}), DataVector(1, 1, {(0,): (-1,)})),
+    DataVector(1, 1, {(3,): (2,), (4,): (-1,)}),
+)
+
+
+@pytest.mark.parametrize("guess_cap", [0, 1, None])
+@pytest.mark.parametrize("coeff_cap", [-1, 0, None])
+def test_all_reversible_generators_take_one_z_check(
+    monkeypatch, coeff_cap, guess_cap
+):
+    # with no nonreversible generator the empty guess is the only one, and
+    # the Z refusal already checked its residual, the target
+    walks = spy(monkeypatch, GeneratorLayers, "failing_subsets")
+    caps = {"coeff_cap": coeff_cap, "guess_cap": guess_cap}
+    dec = n_solvable(
+        _ALL_REVERSIBLE, **{k: v for k, v in caps.items() if v is not None}
+    )
+    assert len(walks) == 1
+    assert dec.bounds == NBoundData(0, 0, 2)
+    if coeff_cap == -1:
+        expected = ("INCONCLUSIVE", None, None, "coeff_cap")
+    elif guess_cap == 0:
+        expected = ("INCONCLUSIVE", None, None, "guess_cap")
+    else:
+        expected = ("SOLVABLE", (), LocalReport(True, ()), None)
+    assert (dec.status, dec.guess, dec.residual_report, dec.reason) == expected
 
 
 def test_n_solvable_single_renamed_copy():

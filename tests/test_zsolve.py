@@ -128,6 +128,31 @@ def test_local_check_verifies_each_first_solve_under_python_O():
     assert out == "1 VerificationError HNF solver produced a non-solution\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_admits_and_the_walk_agree_with_check(inst):
+    report = zsolve.GeneratorLayers(inst.generators, inst.dim).check(inst.target)
+    # fresh owners, so neither answer comes from the other's memo
+    fresh = zsolve.GeneratorLayers(inst.generators, inst.dim)
+    assert fresh.admits(inst.target) == report.decision
+    walk = zsolve.GeneratorLayers(inst.generators, inst.dim)
+    assert tuple(walk.failing_subsets(inst.target)) == report.failures
+    assert z_solvable(inst) == report.decision
+
+
+def test_admits_stops_at_the_first_failure(monkeypatch):
+    # the total 5 is odd over the pair generator's total 2, so layer 0
+    # fails first; the singletons 3 and 2 then solve in layer 1
+    target = DataVector(1, 1, {(0,): (3,), (1,): (2,)})
+    solved = spy(monkeypatch, HermiteForm, "solve")
+    report = zsolve.GeneratorLayers([pair_generator()], 1).check(target)
+    assert [f.subset for f in report.failures] == [()]
+    assert [args[1] for args in solved] == [(5,), (3,), (2,)]
+    solved.clear()
+    assert not zsolve.GeneratorLayers([pair_generator()], 1).admits(target)
+    assert [args[1] for args in solved] == [(5,)]
+
+
 def test_layer_columns_dedup():
     gens = (
         encode_hypergraph(triangle(0, 1, 2)),
