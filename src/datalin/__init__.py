@@ -18,8 +18,6 @@ from .core import (
     dv_scale,
     dv_sub,
     encode_hypergraph,
-    equivalent,
-    renaming_onto,
     weight,
 )
 from .intlin import (
@@ -64,7 +62,6 @@ from .nsolve import (
     n_solvable,
     nonreversible_bound,
     reversible_partition,
-    smooth,
 )
 
 __version__ = "0.1.0"

@@ -311,63 +311,6 @@ def hg_add(g: Hypergraph, h: Hypergraph) -> Hypergraph:
     return Hypergraph(g.vertices | h.vertices, g.arity, g.dim, dv)
 
 
-def _incidence(mu: Mapping[KSet, IntVector]) -> dict[Atom, tuple]:
-    """Isomorphism-invariant pruning signature of each atom of mu's keys:
-    its incident (key size, value) pairs, sorted."""
-    incident: dict[Atom, list] = {}
-    for key, val in mu.items():
-        for v in key:
-            incident.setdefault(v, []).append((len(key), tuple(val)))
-    return {v: tuple(sorted(pairs)) for v, pairs in incident.items()}
-
-
-def renaming_onto(
-    a: Mapping[KSet, IntVector], b: Mapping[KSet, IntVector]
-) -> Optional[dict[Atom, Atom]]:
-    """The first bijection from the atoms of a's keys onto those of b's that
-    carries a's entries onto b's, in lexicographic order of the images of
-    a's sorted atoms; None when there is none.  Keys must be nonempty sorted
-    k-sets.
-
-    Backtracking over a's atoms in sorted order, trying only images with the
-    same signature and checking each entry once its largest atom is mapped;
-    complete, intended for small atom counts."""
-    asig, bsig = _incidence(a), _incidence(b)
-    if sorted(asig.values()) != sorted(bsig.values()):
-        return None
-    av, bv = sorted(asig), sorted(bsig)
-    closed_by: dict[Atom, list] = {v: [] for v in av}
-    for key, val in a.items():
-        closed_by[key[-1]].append((key, val))
-    mapping: dict[Atom, Atom] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(av):
-            return True
-        v = av[i]
-        for w in bv:
-            if bsig[w] != asig[v] or w in mapping.values():
-                continue
-            mapping[v] = w
-            if all(
-                b.get(tuple(sorted(mapping[x] for x in key))) == val
-                for key, val in closed_by[v]
-            ) and extend(i + 1):
-                return True
-            del mapping[v]
-        return False
-
-    return mapping if extend(0) else None
-
-
-def equivalent(g: Hypergraph, h: Hypergraph) -> bool:
-    """True iff g and h are isomorphic after removing isolated vertices
-    (`renaming_onto` finds a weight-preserving vertex bijection)."""
-    if g.arity != h.arity or g.dim != h.dim:
-        raise ShapeError(f"shape mismatch: ({g.arity},{g.dim}) vs ({h.arity},{h.dim})")
-    return renaming_onto(g.mu, h.mu) is not None
-
-
 @dataclass(frozen=True)
 class Instance:
     """One solvability problem: generators, a target, shared arity/dimension."""

@@ -12,12 +12,13 @@ search honest: truncation yields INCONCLUSIVE, never a wrong certificate.
 The split shares cone certificates: each one decides every generator it
 covers, so one simplex runs per generator still undecided.  The Z refusal
 and every residual check need only a decision, so each stops at its first
-failing subset (`GeneratorLayers.admits`), and a SOLVABLE answer's
-residual report is the passing `LocalReport(True, ())`.  When every
-generator is reversible the only guess is the empty one, whose residual
-is the target over all generators: the Z refusal was its check, so the
-answer is SOLVABLE with guess `()` (it still counts as one guess against
-`guess_cap`, after the `coeff_cap` test) and no residual is checked.
+failing subset (`GeneratorLayers.admits`); a SOLVABLE decision carries its
+guess, whose residual a caller can check again over the reversible
+generators.  When every generator is reversible the only guess is the
+empty one, whose residual is the target over all generators: the Z refusal
+was its check, so the answer is SOLVABLE with guess `()` (it still counts
+as one guess against `guess_cap`, after the `coeff_cap` test) and no
+residual is checked.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .core import (
     zero_vec,
 )
 from .intlin import cone_member_certificate, inf_norm, one_norm
-from .zsolve import GeneratorLayers, LocalReport
+from .zsolve import GeneratorLayers
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,6 @@ class NDecision:
     status: str  # SOLVABLE | UNSOLVABLE | INCONCLUSIVE
     bounds: NBoundData
     guess: Optional[tuple[tuple[int, tuple[tuple[Atom, Atom], ...]], ...]] = None
-    residual_report: Optional[LocalReport] = None
     reason: Optional[str] = None  # INCONCLUSIVE only: "coeff_cap" | "guess_cap"
 
 
@@ -69,22 +69,6 @@ def data_projection(a: DataVector) -> IntVector:
     for val in a.entries.values():
         total = vec_add(total, val)
     return total
-
-
-def smooth(a: DataVector, support) -> DataVector:
-    """Sum of all copies of `a` renamed by permutations of `support`
-    (identity elsewhere).  Every size-k subset of the support then carries
-    one shared value.  Supports beyond 8 atoms (8! copies) are refused."""
-    sup = sorted(set(support))
-    if not set(a.support()) <= set(sup):
-        raise ValueError("support must cover the vector's support")
-    if len(sup) > 8:
-        raise ValueError(f"support of size {len(sup)} exceeds the 8! guard")
-    return dv_combine(
-        a.arity,
-        a.dim,
-        ((1, a, dict(zip(sup, image))) for image in itertools.permutations(sup)),
-    )
 
 
 def reversible_partition(inst: Instance) -> ReversibilityPartition:
@@ -180,7 +164,7 @@ def n_solvable(
         # its generators are all of them, so the Z refusal was its check.
         if guess_cap < 1:
             return NDecision("INCONCLUSIVE", bounds, reason="guess_cap")
-        return NDecision("SOLVABLE", bounds, (), LocalReport(True, ()))
+        return NDecision("SOLVABLE", bounds, ())
 
     # Every guess's residual is checked against the reversible generators'
     # layers, each factored once per call.  Layer 0 holds their nonzero
@@ -259,7 +243,7 @@ def n_solvable(
         )
         if rev.admits(residual):
             guess = tuple((gi, tuple(sorted(ren.items()))) for gi, ren in terms)
-            return NDecision("SOLVABLE", bounds, guess, LocalReport(True, ()))
+            return NDecision("SOLVABLE", bounds, guess)
     return NDecision("UNSOLVABLE", bounds)
 
 

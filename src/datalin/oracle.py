@@ -31,6 +31,7 @@ witness verifier only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,17 +70,28 @@ def _columns(inst: Instance, cfg: OracleConfig):
     Placements differing only by a renaming of atoms outside the image are
     identical as vectors, so deduplication by evaluated vector keeps the
     column count small; the first (generator, renaming) of each is kept.
+
+    Distinct image sets give distinct columns, so a generator with s
+    support atoms has at least C(P, s) columns in a pool of P atoms.  That
+    count is checked against max_columns before the pool is built, so the
+    pool never grows with a fresh-atom count the guard would refuse anyway;
+    a family with nothing to place gets no fresh atoms.
     """
     pool = sorted(inst.target.support())
-    full_pool = pool + FreshAtoms(inst.all_atoms()).take_many(cfg.fresh_atoms)
+    placed = [(gi, gen) for gi, gen in enumerate(inst.generators) if gen.entries]
+    size = len(pool) + cfg.fresh_atoms
+    if any(math.comb(size, len(gen.support())) > cfg.max_columns for _gi, gen in placed):
+        raise OracleGuardError("too many generator placements")
+    if placed:
+        pool += FreshAtoms(inst.all_atoms()).take_many(cfg.fresh_atoms)
     seen: set[frozenset] = set()
     cols: list[tuple[dict, int, dict]] = []
-    for gi, gen in enumerate(inst.generators):
+    for gi, gen in placed:
         sup = sorted(gen.support())
-        if len(sup) > len(full_pool) or not gen.entries:
+        if len(sup) > len(pool):
             continue
         items = list(gen.entries.items())
-        for image in itertools.permutations(full_pool, len(sup)):
+        for image in itertools.permutations(pool, len(sup)):
             ren = dict(zip(sup, image))
             # a placement is injective, so a renamed key is a set once sorted
             entries = {
@@ -151,15 +163,17 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
     # branch k of a frame gives its placement the coefficient coeffs[k]: the
     # nonzero values first, then 0 (skip); moving to branch k subtracts
     # shift[k] = coeffs[k] - coeffs[k-1] times the placement, so the skip
-    # branch restores the residual the frame started from
-    if cfg.mode == "N":
-        coeffs = list(range(1, b + 1))
-    else:
-        coeffs = [v for m in range(1, b + 1) for v in (m, -m)]
+    # branch restores the residual the frame started from.  A frame moves
+    # one branch per node, so within max_nodes none passes branch
+    # max_nodes - 1, and the nonzero values after the first max_nodes are
+    # not built
+    max_nodes = cfg.max_nodes
+    signs = (1,) if cfg.mode == "N" else (1, -1)
+    nonzero = (m * sign for m in range(1, b + 1) for sign in signs)
+    coeffs = list(itertools.islice(nonzero, max_nodes))
     nv = len(coeffs)
     coeffs.append(0)
     shift = [c - p for c, p in zip(coeffs, [0] + coeffs)]
-    max_nodes = cfg.max_nodes
     decided = bytearray(len(cols))
     stack: list[list[int]] = []  # frames [placement, next branch]
     nodes = 0

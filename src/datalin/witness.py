@@ -2,9 +2,11 @@
 
 A witness is a formal sum of renamed generator copies; verification
 evaluates the sum and compares it with the target exactly.  One extractor
-produces witnesses for Z-solvable instances of every arity: it decomposes
-the target through simple hypergraphs of the generator family.
-`extract_witness_k2` is the same extractor, restricted to arity 2.
+produces witnesses for Z-solvable instances of every arity, and every such
+target takes its one path, a renamed generator copy included: the target
+is decomposed through simple hypergraphs of the generator family (the
+arity-k form of the arity-1 argument of Hofman, Leroux and Totzke, LICS
+2017).  `extract_witness_k2` is the same extractor, restricted to arity 2.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .calculus import CalculusError, express_via_simple
-from .core import (
-    Atom,
-    DataVector,
-    FreshAtoms,
-    Instance,
-    dv_combine,
-    renaming_onto,
-)
+from .core import Atom, DataVector, FreshAtoms, Instance, dv_combine
 from .zsolve import GeneratorLayers
 
 
@@ -78,19 +73,6 @@ def verify_witness(inst: Instance, w: Witness, mode: str = "Z") -> bool:
 # extractor
 
 
-def _single_copy_witness(inst: Instance) -> Optional[Witness]:
-    """A one-term witness when the target, of support at most 8, is a
-    renamed generator copy: the first generator `core.renaming_onto`
-    carries onto it, with that renaming."""
-    if len(inst.target.support()) > 8:
-        return None
-    for gi, gen in enumerate(inst.generators):
-        ren = renaming_onto(gen.entries, inst.target.entries)
-        if ren is not None:
-            return make_witness([(1, gi, ren)])
-    return None
-
-
 def extract_witness_general(inst: Instance) -> Optional[Witness]:
     """Witness for any arity via the simple-hypergraph decomposition of the
     target over the generator family.  Returns None exactly when the
@@ -101,9 +83,6 @@ def extract_witness_general(inst: Instance) -> Optional[Witness]:
     layers = GeneratorLayers(inst.generators, inst.dim)
     if not layers.admits(inst.target):
         return None
-    quick = _single_copy_witness(inst)
-    if quick is not None:
-        return quick
     k = inst.arity
     fresh = FreshAtoms(inst.all_atoms())
     verts = sorted(inst.target.support())

@@ -15,7 +15,6 @@ from datalin.core import (
     dv_scale,
     dv_sub,
     encode_hypergraph,
-    equivalent,
     hg_add,
     kset,
     nonzero_weight_sets,
@@ -320,13 +319,6 @@ def test_hypergraph_checks_a_given_vector():
         Hypergraph(frozenset({0, 1, 2}), 2, 2, dv)
     with pytest.raises(ShapeError):
         Hypergraph(frozenset({0, 1}), 2, 1, dv)
-
-
-def test_equivalent_detects_isomorphism():
-    g = encode_hypergraph(triangle(0, 1, 2))
-    h = encode_hypergraph(triangle(5, 7, 9))
-    assert equivalent(g, h)
-    assert not equivalent(g, encode_hypergraph(triangle(0, 1, 2, weight=2)))
 
 
 def test_fresh_atoms_are_new_and_monotone():

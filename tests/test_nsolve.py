@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
 from datalin import nsolve, zsolve
 from datalin.intlin import HermiteForm, cone_member
-from datalin.zsolve import GeneratorLayers, LocalReport, local_check
+from datalin.zsolve import GeneratorLayers, local_check
 from datalin.nsolve import (
     NBoundData,
     data_projection,
     n_solvable,
     nonreversible_bound,
     reversible_partition,
-    smooth,
 )
 
 from conftest import (
@@ -45,20 +44,6 @@ def test_data_projection_is_additive_and_renaming_invariant(data):
     )
     pi = {0: 7, 1: 8, 2: 9, 3: 10}
     assert data_projection(dv_permute(a, pi)) == data_projection(a)
-
-
-def test_smooth_symmetrizes_over_the_support():
-    import math
-
-    v = DataVector(1, 1, {(0,): (1,), (1,): (2,)})
-    s = smooth(v, {0, 1, 2})
-    # sum over all 3! renamings: every singleton carries the same value
-    assert s.entries[(0,)] == s.entries[(1,)] == s.entries[(2,)]
-    assert data_projection(s) == (math.factorial(3) * 3,)
-    with pytest.raises(ValueError):
-        smooth(v, {0, 2})  # must cover the support
-    with pytest.raises(ValueError):
-        smooth(v, range(20))  # guard on the factorial blow-up
 
 
 def test_reversible_partition_pair_generator(ex1):
@@ -212,12 +197,12 @@ def test_all_reversible_generators_take_one_z_check(
     assert len(walks) == 1
     assert dec.bounds == NBoundData(0, 0, 2)
     if coeff_cap == -1:
-        expected = ("INCONCLUSIVE", None, None, "coeff_cap")
+        expected = ("INCONCLUSIVE", None, "coeff_cap")
     elif guess_cap == 0:
-        expected = ("INCONCLUSIVE", None, None, "guess_cap")
+        expected = ("INCONCLUSIVE", None, "guess_cap")
     else:
-        expected = ("SOLVABLE", (), LocalReport(True, ()), None)
-    assert (dec.status, dec.guess, dec.residual_report, dec.reason) == expected
+        expected = ("SOLVABLE", (), None)
+    assert (dec.status, dec.guess, dec.reason) == expected
 
 
 def test_n_solvable_single_renamed_copy():
@@ -243,7 +228,7 @@ def test_guess_cap_counts_the_accepting_guess():
     full = n_solvable(inst)
     at_cap = n_solvable(inst, guess_cap=4)
     assert (at_cap.status, at_cap.reason) == ("SOLVABLE", None)
-    assert (at_cap.guess, at_cap.residual_report) == (full.guess, full.residual_report)
+    assert at_cap.guess == full.guess
     capped = n_solvable(inst, guess_cap=3)
     assert (capped.status, capped.reason) == ("INCONCLUSIVE", "guess_cap")
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,35 @@ def test_oracle_column_guard():
             inst,
             OracleConfig(coeff_bound=1, fresh_atoms=3, max_columns=2),
         )
+
+
+@pytest.mark.parametrize(
+    "generators, bounds, budget",
+    [
+        ((pair_generator(),), {"fresh_atoms": 200_000}, {}),
+        ((), {"fresh_atoms": 200_000}, {}),
+        ((pair_generator(),), {"coeff_bound": 200_000}, {"max_nodes": 1_000}),
+    ],
+    ids=["fresh-atoms", "fresh-atoms-nothing-placed", "coeff-bound"],
+)
+def test_oracle_memory_is_set_by_its_guards(generators, bounds, budget):
+    # 200,000 fresh atoms give more placements than max_columns allows, so
+    # the guard trips before the pool is built, and an empty family needs
+    # no pool; the coefficient branches are built only as far as the node
+    # budget can reach
+    inst = Instance(1, 1, generators, point_target(2))
+    cfg = dataclasses.replace(OracleConfig(2, 2, **budget), **bounds)
+    tracemalloc.start()
+    try:
+        if generators:
+            with pytest.raises(OracleGuardError):
+                brute_force(inst, cfg)
+        else:
+            assert brute_force(inst, cfg) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_oracle_monotone_in_fresh_atoms(ex1):

@@ -1,9 +1,8 @@
-import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from datalin import calculus, zsolve
 from datalin.calculus import CapExceeded
@@ -15,7 +14,6 @@ from datalin.core import (
     dv_permute,
     dv_scale,
     encode_hypergraph,
-    renaming_onto,
 )
 from datalin.intlin import IntMatrix
 from datalin.witness import (
@@ -24,7 +22,6 @@ from datalin.witness import (
     evaluate_witness,
     extract_witness_general,
     extract_witness_k2,
-    _single_copy_witness,
     make_witness,
     verify_witness,
 )
@@ -138,48 +135,13 @@ def test_extract_witness_general_arity_two(ex2):
     assert w is not None and verify_witness(ex2, w, mode="Z")
 
 
-def test_single_copy_fast_path():
+def test_decomposition_gives_a_renamed_triangle_copy_one_term():
     gen = triangle(0, 1, 2, weight=2)
     target = dv_permute(gen, {0: 5, 1: 6, 2: 7})
     inst = Instance(2, 1, (gen,), target)
     w = extract_witness_general(inst)
     assert w is not None and verify_witness(inst, w, mode="Z")
     assert len(w.terms) == 1 and w.terms[0].coeff == 1
-
-
-def first_renaming_by_permutation(a, b):
-    """Reference search: the first renaming of a's sorted support, over the
-    permutations of b's sorted support in lexicographic order, that carries
-    a onto b."""
-    asup, bsup = sorted(a.support()), sorted(b.support())
-    if len(asup) != len(bsup):
-        return None
-    for image in itertools.permutations(bsup):
-        ren = dict(zip(asup, image))
-        if dv_permute(a, ren) == b:
-            return ren
-    return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_renaming_search_matches_the_permutation_loop(data):
-    k = data.draw(st.integers(1, 3))
-    d = data.draw(st.integers(1, 2))
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    atoms = range(k + 3)
-    # values in -1..1 leave many symmetric copies, so the order matters
-    gens = tuple(random_data_vector(rng, k, d, atoms, -1, 1) for _ in range(2))
-    if data.draw(st.booleans()):
-        image = rng.sample(range(12), len(atoms))
-        target = dv_permute(gens[rng.randrange(2)], dict(zip(atoms, image)))
-    else:
-        target = random_data_vector(rng, k, d, atoms, -1, 1)
-    found = [first_renaming_by_permutation(g, target) for g in gens]
-    assert [renaming_onto(g.entries, target.entries) for g in gens] == found
-    hits = [(1, gi, ren) for gi, ren in enumerate(found) if ren is not None]
-    expected = make_witness(hits[:1]) if hits else None
-    assert _single_copy_witness(Instance(k, d, gens, target)) == expected
 
 
 def test_extract_witness_arity_three():
@@ -246,13 +208,20 @@ def test_z_solvable_iff_the_general_extractor_verifies(inst):
     assert z_solvable(inst) == (w is not None and verify_witness(inst, w))
 
 
+_COPY_1 = DataVector(1, 2, {(0,): (1, -1), (1,): (2, 0), (2,): (0, 3)})
+_COPY_3 = DataVector(3, 1, {(0, 1, 2): (1,), (0, 2, 3): (-1,), (1, 2, 3): (1,)})
+
+
 @pytest.mark.parametrize(
     "inst",
     [
         Instance(1, 1, (pair_generator(),), point_target(2)),
         Instance(2, 1, (triangle(0, 1, 2),), edge_target(6)),
+        # targets that are renamed generator copies take the decomposition too
+        Instance(1, 2, (_COPY_1,), dv_permute(_COPY_1, {0: 4, 1: 0, 2: 7})),
+        Instance(3, 1, (_COPY_3,), dv_permute(_COPY_3, {0: 2, 1: 5, 2: 3, 3: 7})),
     ],
-    ids=["arity-1", "arity-2"],
+    ids=["arity-1", "arity-2", "arity-1-copy", "arity-3-copy"],
 )
 def test_general_extraction_factors_each_layer_once(monkeypatch, inst):
     # the membership check and the decomposition share one layer owner
@@ -270,7 +239,6 @@ def test_general_extraction_factors_each_layer_once(monkeypatch, inst):
 def test_extraction_past_a_cap_raises_cap_exceeded(
     monkeypatch, capsys, tmp_path, ex2, cap
 ):
-    # ex2's target is no renamed generator copy, so it needs a decomposition
     assert extract_witness_general(ex2) is not None
     monkeypatch.setattr(calculus, cap, 1)
     reason = {"_MAX_STEPS": "step_cap", "_MAX_TERMS": "term_cap"}[cap]
