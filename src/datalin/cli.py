@@ -39,7 +39,7 @@ from typing import Any
 
 from .calculus import CapExceeded
 from .core import Atom, DataVector, Instance, ShapeError, dv_combine
-from .nsolve import n_solvable
+from .nsolve import COEFF_CAP, n_solvable
 from .oracle import OracleConfig, OracleGuardError, brute_force
 from .witness import (
     Witness,
@@ -307,7 +307,7 @@ def cmd_nsolve(args, inst: Instance, table: AtomTable) -> int:
     }
     if dec.status == "INCONCLUSIVE":
         payload["reason"] = dec.reason
-    if dec.status == "SOLVABLE" and dec.guess is not None:
+    if dec.status == "SOLVABLE":
         payload["nonreversible_part"] = [
             {
                 "generator": gi,
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     with_common(sub.add_parser("zsolve")).set_defaults(func=cmd_zsolve)
     np = with_common(sub.add_parser("nsolve"))
-    np.add_argument("--cap", type=int, default=10_000)
+    np.add_argument("--cap", type=int, default=COEFF_CAP)
     np.set_defaults(func=cmd_nsolve)
     cp = with_common(sub.add_parser("check-local"))
     cp.add_argument("--explain", action="store_true")

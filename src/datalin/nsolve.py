@@ -4,10 +4,13 @@ The decision follows a reduce-and-guess scheme: project data vectors to
 plain integer vectors, split the generators into reversible ones (whose
 negation is again a nonnegative combination, so they may be subtracted
 freely) and nonreversible ones, bound the total multiplicity of
-nonreversible copies by an explicit exponential formula, enumerate the
-bounded guesses for the nonreversible part, and solve the residual over
-the reversible generators as an integer (Z) problem.  Caps make the
-search honest: truncation yields INCONCLUSIVE, never a wrong certificate.
+nonreversible copies by Pottier's bound on the projection system
+(`intlin.pottier_base_bound`), enumerate the bounded guesses for the
+nonreversible part, and solve the residual over the reversible generators
+as an integer (Z) problem.  Caps make the search honest: truncation yields
+INCONCLUSIVE, never a wrong certificate.  `n_solvable` runs the public
+stages `reversible_partition`, `nonreversible_bound` and the Z refusal
+`zsolve.z_solvable`, once each.
 
 The split shares cone certificates: each one decides every generator it
 covers, so one simplex runs per generator still undecided.  The Z refusal
@@ -34,11 +37,13 @@ from .core import (
     Instance,
     IntVector,
     dv_combine,
-    vec_add,
     zero_vec,
 )
-from .intlin import cone_member_certificate, inf_norm, one_norm
-from .zsolve import GeneratorLayers
+from .intlin import IntMatrix, cone_member_certificate, pottier_base_bound
+from .zsolve import GeneratorLayers, z_solvable
+
+
+COEFF_CAP = 10_000  # default `coeff_cap`, also `datalin nsolve --cap`'s
 
 
 @dataclass(frozen=True)
@@ -63,28 +68,23 @@ class NDecision:
 
 
 def data_projection(a: DataVector) -> IntVector:
-    """Componentwise sum of all values; additive, scale-compatible, and
-    renaming-invariant."""
-    total = zero_vec(a.dim)
-    for val in a.entries.values():
-        total = vec_add(total, val)
-    return total
+    """Componentwise sum of all values (the weight of the empty set);
+    additive, scale-compatible, and renaming-invariant."""
+    return tuple(map(sum, zip(*a.entries.values()))) or zero_vec(a.dim)
 
 
 def reversible_partition(inst: Instance) -> ReversibilityPartition:
-    """A generator is reversible iff the negation of its projection lies in
-    the rational nonnegative cone of all generator projections."""
-    return _partition([data_projection(g) for g in inst.generators])
-
-
-def _partition(projections: list[IntVector]) -> ReversibilityPartition:
-    """Split the indices by reversibility, one cone certificate deciding
-    every generator it covers; a generator already decided is skipped.
+    """Split the generator indices by reversibility: a generator is
+    reversible iff the negation of its projection lies in the rational
+    nonnegative cone of all generator projections.  One cone certificate
+    decides every generator it covers; a generator already decided is
+    skipped.
 
     If -p_i = sum q_j p_j with q >= 0, every j with q_j > 0 is reversible:
     -p_j = (p_i + sum_{l != j} q_l p_l) / q_j.  If instead a Farkas z has
     z.p_l >= 0 for every l and z.p_i > 0, every j with z.p_j > 0 is
     nonreversible: z is nonnegative on the cone, negative on -p_j."""
+    projections = [data_projection(g) for g in inst.generators]
     reversible: dict[int, bool] = {}
     for i, p in enumerate(projections):
         if i in reversible:
@@ -109,22 +109,18 @@ def _partition(projections: list[IntVector]) -> ReversibilityPartition:
 def nonreversible_bound(
     inst: Instance, part: ReversibilityPartition
 ) -> NBoundData:
-    """Exact multiplicity bound for the nonreversible part and the derived
-    support-size bound."""
-    return _bound(inst, part, [data_projection(g) for g in inst.generators])
-
-
-def _bound(
-    inst: Instance, part: ReversibilityPartition, projections: list[IntVector]
-) -> NBoundData:
+    """Multiplicity bound for the nonreversible part: the number of
+    distinct nonreversible projections times Pottier's bound on the
+    projection system (`pottier_base_bound`), and the derived support-size
+    bound."""
     supp_size = len(inst.target.support())
     if not part.nonreversible:
         return NBoundData(0, 0, supp_size)
+    projections = [data_projection(g) for g in inst.generators]
     distinct_nonrev = {projections[i] for i in part.nonreversible}
-    col_norm = max((one_norm(p) for p in projections), default=0)
-    base = col_norm + inf_norm(data_projection(inst.target)) + 2
-    coeff_bound = len(distinct_nonrev) * base ** (
-        inst.dim + len(inst.generators)
+    coeff_bound = len(distinct_nonrev) * pottier_base_bound(
+        IntMatrix.from_columns(projections, nrows=inst.dim),
+        data_projection(inst.target),
     )
     s_max = max(
         len(inst.generators[i].support()) for i in part.nonreversible
@@ -134,26 +130,25 @@ def _bound(
 
 def n_solvable(
     inst: Instance,
-    coeff_cap: int = 10_000,
+    coeff_cap: int = COEFF_CAP,
     guess_cap: int = 1_000_000,
 ) -> NDecision:
     """Decide N-solvability.
 
-    Fast refusal: not Z-solvable over all generators implies not N-solvable;
-    one `GeneratorLayers` owner of all generators decides it.  With every
-    generator reversible, that check already decided the one (empty)
-    guess.  Otherwise enumerate the multiplicities of nonreversible copies
-    (pruned by the projection equation), place each copy canonically over
-    the target support plus fresh atoms, and Z-solve the residual over the
-    reversible generators only.  Exhausted enumeration within the caps is
+    Runs `reversible_partition` and `nonreversible_bound`, then the fast
+    refusal `z_solvable`: not Z-solvable over all generators implies not
+    N-solvable.  With every generator reversible, that check already
+    decided the one (empty) guess.  Otherwise enumerate the multiplicities
+    of nonreversible copies (pruned by the projection equation), place each
+    copy canonically over the target support plus fresh atoms, and Z-solve
+    the residual over the reversible generators only.  Exhausted enumeration within the caps is
     a certificate of UNSOLVABLE; truncation reports INCONCLUSIVE with the
     cap that tripped as its `reason`.
     """
     gens = inst.generators
-    projections = [data_projection(g) for g in gens]
-    part = _partition(projections)
-    bounds = _bound(inst, part, projections)
-    if not GeneratorLayers(gens, inst.dim).admits(inst.target):
+    part = reversible_partition(inst)
+    bounds = nonreversible_bound(inst, part)
+    if not z_solvable(inst):
         return NDecision("UNSOLVABLE", bounds)
 
     if bounds.coeff_bound > coeff_cap:
@@ -173,6 +168,7 @@ def n_solvable(
     rev = GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
+    nonrev_proj = [data_projection(gens[i]) for i in nonrev]
     total_cap = bounds.coeff_bound
     supp = sorted(inst.target.support())
     fresh = FreshAtoms(inst.all_atoms())
@@ -187,7 +183,7 @@ def n_solvable(
         n = len(sup)
         pool = supp + [fresh_base + j for j in range(known_fresh)]
         new_base = fresh_base + known_fresh
-        for r in range(0, min(n, bounds.s_max * total_cap - known_fresh) + 1):
+        for r in range(n + 1):
             for pos_f in itertools.combinations(range(n), r):
                 new = dict(zip(pos_f, range(new_base, new_base + r)))
                 for old in itertools.permutations(pool, n - r):
@@ -224,10 +220,8 @@ def n_solvable(
             for counts in _compositions(total, len(nonrev)):
                 # projection necessary condition for the residual
                 needed = target_proj
-                for c, i in zip(counts, nonrev):
-                    needed = tuple(
-                        [x - c * y for x, y in zip(needed, projections[i])]
-                    )
+                for c, p in zip(counts, nonrev_proj):
+                    needed = tuple([x - c * y for x, y in zip(needed, p)])
                 if rev.solve(0, needed) is None:
                     continue
                 copies = [i for c, i in zip(counts, nonrev) for _ in range(c)]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
@@ -235,7 +235,4 @@ def brute_reversible(inst: Instance, index: int, cfg: OracleConfig) -> bool:
         raise IndexError("generator index out of range")
     neg = dv_scale(-1, inst.generators[index])
     sub = Instance(inst.arity, inst.dim, inst.generators, neg)
-    n_cfg = OracleConfig(
-        cfg.coeff_bound, cfg.fresh_atoms, "N", cfg.max_columns, cfg.max_nodes
-    )
-    return brute_force(sub, n_cfg) is not None
+    return brute_force(sub, replace(cfg, mode="N")) is not None

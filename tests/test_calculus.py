@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from datalin import calculus, zsolve
 from datalin.calculus import (
-    CalculusError,
     SimpleSpec,
     construct_simple,
     cut,

@@ -18,18 +18,11 @@ from datalin.cli import (
 )
 from datalin import calculus, intlin
 from datalin.calculus import CalculusError
-from datalin.core import DataVector, Instance, ShapeError, VerificationError
+from datalin.core import ShapeError, VerificationError
 from datalin.witness import WitnessTerm, Witness, extract_witness_general
 from datalin.zsolve import GeneratorLayers
 
-from conftest import (
-    edge_target,
-    no_leaving_row,
-    pair_generator,
-    point_target,
-    spy,
-    triangle,
-)
+from conftest import no_leaving_row, spy
 
 
 EX1 = {

@@ -1,6 +1,5 @@
 import itertools
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction

@@ -8,6 +8,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "datalin"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# The test files, less the acceptance suite, which is kept as written.
+TESTS = sorted(
+    p for p in (SRC.parent.parent / "tests").glob("*.py")
+    if p.name != "test_acceptance.py"
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,9 +57,11 @@ def test_unused_imports_detects_and_ignores():
     assert unused_imports(src) == ["Mapping", "system"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize(
+    "path", [SRC / m for m in MODULES] + TESTS, ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_unreferenced_private_detects_and_ignores():

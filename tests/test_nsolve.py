@@ -1,9 +1,18 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datalin.core import DataVector, Instance, dv_add, dv_permute, dv_scale
+from datalin.core import (
+    DataVector,
+    Instance,
+    dv_add,
+    dv_permute,
+    dv_scale,
+    weight_table,
+    zero_vec,
+)
 from datalin import nsolve, zsolve
 from datalin.intlin import HermiteForm, cone_member
 from datalin.zsolve import GeneratorLayers, local_check
@@ -19,9 +28,9 @@ from conftest import (
     pair_generator,
     point_target,
     random_data_vector,
+    small_instances,
     spy,
     triangle,
-    edge_target,
 )
 
 
@@ -44,6 +53,8 @@ def test_data_projection_is_additive_and_renaming_invariant(data):
     )
     pi = {0: 7, 1: 8, 2: 9, 3: 10}
     assert data_projection(dv_permute(a, pi)) == data_projection(a)
+    # the weight of the empty set, zero when the vector is
+    assert data_projection(a) == weight_table(a, (0,))[0].get((), zero_vec(1))
 
 
 def test_reversible_partition_pair_generator(ex1):
@@ -78,7 +89,12 @@ def test_partition_matches_the_per_generator_definition(data):
             projections.append(
                 tuple(data.draw(st.integers(-3, 3)) for _ in range(d))
             )
-    part = nsolve._partition(projections)
+    # generator i carries projection p_i at atom i; a zero one is empty
+    gens = tuple(
+        DataVector(1, d, {(i,): p} if any(p) else {})
+        for i, p in enumerate(projections)
+    )
+    part = reversible_partition(Instance(1, d, gens, DataVector(1, d, {})))
     rev = tuple(
         i
         for i, p in enumerate(projections)
@@ -100,6 +116,22 @@ def test_nonreversible_bound_values(ex1, ex2):
     assert b2.coeff_bound == 121
     assert b2.s_max == 3
     assert b2.support_size == 2 + 3 * 121
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_nonreversible_bound_is_pottiers_formula(inst):
+    part = reversible_partition(inst)
+    bound = nonreversible_bound(inst, part).coeff_bound
+    if not part.nonreversible:
+        assert bound == 0
+        return
+    proj = [data_projection(g) for g in inst.generators]
+    distinct = len({proj[i] for i in part.nonreversible})
+    col_norm = max(sum(abs(x) for x in p) for p in proj)
+    target_norm = max(abs(x) for x in data_projection(inst.target))
+    exponent = inst.dim + len(inst.generators)
+    assert bound == distinct * (col_norm + target_norm + 2) ** exponent
 
 
 def test_bound_is_zero_without_nonreversible_generators():
@@ -144,9 +176,9 @@ def test_n_solvable_factors_the_reversible_projections_once(monkeypatch):
     target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
     dec = n_solvable(Instance(1, 1, (pair_generator(),), target))
     assert dec.status == "SOLVABLE"
-    # the last owner holds the reversible generators, whose layer 0 holds
-    # their projections; the first holds all generators for the Z refusal
-    rev = owners[-1]
+    # the one owner built here holds the reversible generators, whose layer
+    # 0 holds their projections; `z_solvable` builds the Z refusal's owner
+    (rev,) = owners
     matrix = rev.layer(0).factor.matrix
     assert sum(args[0] is matrix for args in factored) == 1
     # one solve per composition tried: 0, 1 and 2 copies of the generator
@@ -250,10 +282,66 @@ def test_placement_walk_takes_any_number_of_copies():
     assert dec.guess == ((0, ((0, 1),)),) * 1500
 
 
-def test_n_solvable_projects_each_generator_once(monkeypatch):
-    projected = spy(monkeypatch, nsolve, "data_projection")
-    gen = pair_generator()
+def test_n_solvable_runs_each_public_stage_once(monkeypatch):
+    stages = [
+        spy(monkeypatch, nsolve, name)
+        for name in ("reversible_partition", "nonreversible_bound", "z_solvable")
+    ]
     target = DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)})
-    assert n_solvable(Instance(1, 1, (gen,), target)).status == "SOLVABLE"
-    # the partition, the bound and every composition share one projection
-    assert sum(args[0] is gen for args in projected) == 1
+    inst = Instance(1, 1, (pair_generator(),), target)
+    assert n_solvable(inst).status == "SOLVABLE"
+    assert [len(calls) for calls in stages] == [1, 1, 1]
+    assert all(calls[0][0] is inst for calls in stages)
+
+
+# (status, reason, coeff_bound) of each instance of the seed-7 stream of
+# acceptance criterion 6, at its caps: S SOLVABLE, U UNSOLVABLE, and
+# INCONCLUSIVE with reason C coeff_cap or G guess_cap, then the bound.
+_CRITERION_6_ANSWERS = """
+    U36 S36 C8192 C2000 U81 C686 C1024 S9 S25 U64
+    U361 U25 S16 U100 S16 U49 S25 C2000 U121 U169
+    C2000 S49 U121 U686 C432 C686 C432 S25 S9 U169
+    U3456 U36 C1024 S36 U216 U686 C3456 C2000 U49 C432
+    U25 S49 C1458 S250 C3456 S25 S16 C686 C1458 C512
+    S125 U100 S16 C1458 U25 S9 C432 C1458 C5488 U36
+    C686 C686 S25 S25 U36 U64 U343 C686 S25 C1024
+    C11664 C2000 C2000 S36 U216 C686 C432 U49 C5488 C3456
+    S36 S16 S25 C432 U169 U36 U1458 C2662 C2000 U225
+    U100 S64 U49 C1458 U81 C2000 G100 U125 S125 U196
+""".split()
+
+
+def test_criterion_6_stream_answers_are_pinned():
+    # the instances of tests/test_acceptance.py's criterion 6, drawn in the
+    # same order from the same seed, without the oracle
+    rng = random.Random(7)
+    pool = list(range(4))
+
+    def rand_nonneg(k, atoms):
+        entries = {}
+        for e in itertools.combinations(sorted(atoms), k):
+            v = (rng.randint(0, 2),)
+            if any(v):
+                entries[e] = v
+        return DataVector(k, 1, entries)
+
+    codes = {
+        ("SOLVABLE", None): "S",
+        ("UNSOLVABLE", None): "U",
+        ("INCONCLUSIVE", "coeff_cap"): "C",
+        ("INCONCLUSIVE", "guess_cap"): "G",
+    }
+    answers = []
+    for _ in range(100):
+        k = rng.randint(1, 2)
+        gens = []
+        while len(gens) < rng.randint(1, 2):
+            g = rand_nonneg(k, rng.sample(pool, rng.randint(k, min(4, k + 2))))
+            if not g.is_zero():
+                gens.append(g)
+        target = rand_nonneg(k, rng.sample(pool, rng.randint(k, min(4, k + 2))))
+        dec = n_solvable(
+            Instance(k, 1, tuple(gens), target), coeff_cap=300, guess_cap=20_000
+        )
+        answers.append(f"{codes[dec.status, dec.reason]}{dec.bounds.coeff_bound}")
+    assert answers == _CRITERION_6_ANSWERS

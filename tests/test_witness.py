@@ -12,7 +12,6 @@ from datalin.core import (
     Instance,
     dv_add,
     dv_permute,
-    dv_scale,
     encode_hypergraph,
 )
 from datalin.intlin import IntMatrix

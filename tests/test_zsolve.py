@@ -20,7 +20,6 @@ from datalin.intlin import HermiteForm, IntMatrix
 from datalin.zsolve import LocalFailure, layer_columns, local_check, z_solvable
 
 from conftest import (
-    edge_target,
     pair_generator,
     point_target,
     small_instances,
