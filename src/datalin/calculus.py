@@ -59,10 +59,6 @@ class CapExceeded(CalculusError):
         self.reason = reason
 
 
-class SpanError(CalculusError):
-    """A required weight was not in the integer span of family weights."""
-
-
 # ---------------------------------------------------------------------------
 # reduction matrices
 
@@ -273,7 +269,7 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
     k, d = g.arity, g.dim
     m = len(x)
     a = weight(g, x)
-    support = sorted(g.nonisolated())
+    support = sorted(g.as_data_vector().support())
 
     if k == 1:
         if m == 1:
@@ -336,9 +332,9 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
     # m == 0, k >= 2: eliminate vertices until at most 2k-1 remain
     current = Hypergraph(frozenset(support), k, d, g.as_data_vector())
     terms = [(1, {u: u for u in support})]  # identity copy
-    while len(current.nonisolated()) > 2 * k - 1:
+    while len(current.as_data_vector().support()) > 2 * k - 1:
         ctx.tick()
-        sup = sorted(current.nonisolated())
+        sup = sorted(current.as_data_vector().support())
         alpha = sup[-1]
         fc = cut(current, {alpha})
         workspace = [v for v in sup if v != alpha]
@@ -369,10 +365,10 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
         ctx.check_terms(terms)
         ev = eval_terms(g.as_data_vector(), terms)
         nxt = encode_hypergraph(ev)
-        if alpha in nxt.nonisolated() or not nxt.nonisolated() < set(sup):
+        if alpha in ev.support() or not ev.support() < set(sup):
             raise CalculusError("elimination step failed to drop the vertex")
         current = nxt
-    base_vertices = sorted(current.nonisolated())
+    base_vertices = sorted(current.as_data_vector().support())
     # Individual terms may still mention eliminated vertices (those mentions
     # cancel in the sum); push them to fresh atoms with one shared renaming
     # so every term's range stays within the output vertices plus fresh.
@@ -396,7 +392,7 @@ def construct_simple(g: Hypergraph, x):
         raise ShapeError("|x| must be at most the arity")
     if not set(xs) <= g.vertices:
         raise ShapeError("x must be a subset of the vertex set")
-    ctx = _Ctx(set(g.vertices) | set(g.as_data_vector().support()))
+    ctx = _Ctx(g.vertices)
     hg, spec, terms = _construct_simple(g, xs, ctx)
     terms = merge_terms(terms)
     if not verify_simple(hg, spec):
@@ -428,7 +424,7 @@ def _simple_with_value(
     m = len(A)
     sol = layers.solve(m, a)
     if sol is None:
-        raise SpanError(
+        raise CalculusError(
             f"value {a} outside the integer span of size-{m} family weights"
         )
     placed = []
@@ -553,7 +549,7 @@ def express_via_simple(layers: GeneratorLayers, h: DataVector, vertices):
     in a construction context of its own; a layer the owner factored before
     is not factored again.  Raises CapExceeded past `_MAX_STEPS` steps or
     `_MAX_TERMS` terms."""
-    used = set(vertices) | set(h.support())
+    used = set(vertices)
     for g in layers.hypergraphs:
         used |= g.vertices
     return _express_via_simple(h, layers, vertices, _Ctx(used))

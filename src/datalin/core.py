@@ -117,15 +117,6 @@ class DataVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DataVector):
-            return NotImplemented
-        return (self.arity, self.dim, self.entries) == (
-            other.arity,
-            other.dim,
-            other.entries,
-        )
-
     def __hash__(self) -> int:
         return hash((self.arity, self.dim, frozenset(self.entries.items())))
 
@@ -230,12 +221,9 @@ class Hypergraph:
         """The validated vector whose entries are `mu`; both are immutable."""
         return self._data_vector
 
-    def nonisolated(self) -> frozenset[Atom]:
-        return frozenset(a for key in self.mu for a in key)
-
     def __hash__(self) -> int:
-        """By value, like DataVector's, so constructions can memoize on it."""
-        return hash((self.vertices, self.arity, self.dim, frozenset(self.mu.items())))
+        """By value (its vector and vertex set), so constructions can memoize on it."""
+        return hash((self.vertices, self._data_vector))
 
     @cached_property
     def _weight_table(self) -> tuple[dict[KSet, IntVector], ...]:

@@ -20,9 +20,11 @@ exact, so no residual is ever copied.  One `int` bitmask of the nonzero
 residual slots is kept current: as sets are numbered by rank, its highest
 bit lies in the largest set with a nonzero residual, which is the set the
 search branches on, and a zero mask means the target is met.  An explicit
-stack of (placement, next branch) frames replaces recursion, so a search's
-depth is bounded by memory only; the frames also spell out the witness
-when the target is met.
+stack of (placement, next branch, applied coefficient) frames replaces
+recursion and spells out the witness when the target is met; a frame
+computes each branch's coefficient from its index.  So every structure
+is sized by the placement count: max_columns alone sets the memory, and
+max_nodes bounds time only.
 
 The oracle shares no code with the deciders: it uses `core` and the
 witness verifier only.
@@ -122,7 +124,8 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
     set's residual exceeds what the undecided placements can still reach.
     Steps update the flat residual in place and are undone on backtrack;
     the frames live on an explicit stack.  Deterministic; raises
-    OracleGuardError above max_nodes.
+    OracleGuardError above max_columns placements (which set the memory)
+    or max_nodes nodes (which bound the time).
     """
     cols = _columns(inst, cfg)
     b = cfg.coeff_bound
@@ -160,22 +163,19 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
                 slot = index[key] * dim + i
                 residual[slot] = x
                 mask |= 1 << slot
-    # branch k of a frame gives its placement the coefficient coeffs[k]: the
-    # nonzero values first, then 0 (skip); moving to branch k subtracts
-    # shift[k] = coeffs[k] - coeffs[k-1] times the placement, so the skip
-    # branch restores the residual the frame started from.  A frame moves
-    # one branch per node, so within max_nodes none passes branch
-    # max_nodes - 1, and the nonzero values after the first max_nodes are
-    # not built
+    # branch k < nv of a frame gives its placement the coefficient
+    # (k // ns + 1) * signs[k % ns], that is 1, -1, 2, -2, ... in Z mode and
+    # 1, 2, ... in N mode, and branch nv gives it 0 (skip).  Moving to a
+    # branch subtracts the new coefficient less the applied one times the
+    # placement, so the skip branch restores the residual the frame started
+    # from.  A frame moves one branch per node, so the node guard stops every
+    # frame before branch max_nodes
     max_nodes = cfg.max_nodes
     signs = (1,) if cfg.mode == "N" else (1, -1)
-    nonzero = (m * sign for m in range(1, b + 1) for sign in signs)
-    coeffs = list(itertools.islice(nonzero, max_nodes))
-    nv = len(coeffs)
-    coeffs.append(0)
-    shift = [c - p for c, p in zip(coeffs, [0] + coeffs)]
+    ns = len(signs)
+    nv = b * ns
     decided = bytearray(len(cols))
-    stack: list[list[int]] = []  # frames [placement, next branch]
+    stack: list[list[int]] = []  # frames [placement, next branch, coefficient]
     nodes = 0
     while True:
         # evaluate the node at the current residual
@@ -195,21 +195,23 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
                     decided[j0] = 1
                     for slot, share in shares[j0]:
                         cap[slot] -= share
-                    stack.append([j0, 0])
+                    stack.append([j0, 0, 0])
                     break
         # move to the next node: the top frame's next branch, popping the
         # frames whose branches are exhausted
         while stack:
             frame = stack[-1]
-            j, k = frame
+            j, k, c = frame
             if k > nv:
                 stack.pop()
                 decided[j] = 0
                 for slot, share in shares[j]:
                     cap[slot] += share
                 continue
+            coeff = (k // ns + 1) * signs[k % ns] if k < nv else 0
             frame[1] = k + 1
-            d = shift[k]
+            frame[2] = coeff
+            d = coeff - c
             if d:
                 for slot, x in updates[j]:
                     old = residual[slot]
@@ -219,10 +221,8 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
             break
         else:
             return None
-    # the met target's path: each frame's current branch k - 1, if nonzero
-    w = make_witness(
-        (coeffs[k - 1], cols[j][1], cols[j][2]) for j, k in stack if k <= nv
-    )
+    # the met target's path: each frame's applied coefficient
+    w = make_witness((c, cols[j][1], cols[j][2]) for j, _k, c in stack)
     if not verify_witness(inst, w, cfg.mode):
         raise VerificationError("oracle produced a non-verifying witness")
     return w

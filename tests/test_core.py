@@ -321,6 +321,24 @@ def test_hypergraph_checks_a_given_vector():
         Hypergraph(frozenset({0, 1}), 2, 1, dv)
 
 
+def test_value_types_compare_and_hash_by_value():
+    a = DataVector(2, 1, {(0, 1): (2,), (1, 2): (-1,)})
+    b = DataVector(2, 1, {(2, 1): (-1,), (0, 2): (0,), (1, 0): (2,)})
+    assert list(a.entries) != list(b.entries)
+    assert a == b and hash(a) == hash(b)
+    assert a != DataVector(2, 2, {(0, 1): (2, 0), (1, 2): (-1, 0)})
+    assert DataVector(1, 1) != DataVector(2, 1) and DataVector(1, 1) != DataVector(1, 2)
+    assert a != dict(a.entries) and a != (a.arity, a.dim, a.entries)
+    g = Hypergraph(frozenset({0, 1, 2}), 2, 1, a)
+    h = Hypergraph({2, 1, 0}, 2, 1, dict(b.entries))
+    assert g == h and hash(g) == hash(h)
+    assert g != Hypergraph(frozenset({0, 1, 2, 3}), 2, 1, a)
+    # the simple-graph cache keys on (hypergraph, set)
+    cache = {(g, (0,)): "built"}
+    assert cache[(h, (0,))] == "built"
+    assert (Hypergraph(frozenset({0, 1, 2, 3}), 2, 1, a), (0,)) not in cache
+
+
 def test_fresh_atoms_are_new_and_monotone():
     fresh = FreshAtoms({3, 10})
     a, b = fresh.take(), fresh.take()

@@ -415,41 +415,70 @@ _DOTTED = re.compile(r"^\w+\.(\w+)$")
 def references(source: str, skip: str | None = None) -> set[str]:
     """Names the source refers to: bare and attribute names, names taken by
     `from ... import`, and the `name` of "module.name" string constants.
-    The module-level `def` or `class` named `skip` is not read, so that a
-    definition's references to itself do not count."""
+    The definition at the path `skip` is not read ("name" for a module-level
+    `def` or `class`, "Class.name" for a method), so that a definition's
+    references to itself do not count."""
+    tree = ast.parse(source)
+    skipped: list[ast.AST] = []
+    if skip:
+        skipped = [tree]
+        for part in skip.split("."):
+            skipped = [
+                n for scope in skipped for n in scope.body
+                if isinstance(n, _DEFS) and n.name == part
+            ]
     found: set[str] = set()
-    for top in ast.parse(source).body:
-        if isinstance(top, _DEFS) and top.name == skip:
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skipped:
             continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                found.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                dotted = _DOTTED.match(node.value)
-                if dotted:
-                    found.add(dotted.group(1))
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            dotted = _DOTTED.match(node.value)
+            if dotted:
+                found.add(dotted.group(1))
     return found
 
 
+def public_definitions(source: str) -> list[str]:
+    """Paths of the public module-level functions and classes, and of the
+    public methods of every module-level class ("Class.name")."""
+    paths = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, _DEFS):
+            continue
+        if not node.name.startswith("_"):
+            paths.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            paths.extend(
+                f"{node.name}.{member.name}"
+                for member in node.body
+                if isinstance(member, _DEFS) and not member.name.startswith("_")
+            )
+    return paths
+
+
 def unreached_public(library: dict[str, str], outside: list[str]) -> list[str]:
-    """Public module-level functions and classes of the `library` sources
-    (by module name) that no library source refers to outside their own
-    definition and no `outside` source refers to at all."""
+    """Public definitions of the `library` sources (by module name; see
+    `public_definitions`) whose name no library source refers to outside
+    the definition itself and no `outside` source refers to at all.  A
+    method is reached by any reference to its name, whatever the object."""
     reached = set().union(*map(references, outside))
     unreached = []
     for module, source in library.items():
         elsewhere = reached.union(
             *(references(other) for name, other in library.items() if name != module)
         )
-        for node in ast.parse(source).body:
-            if not isinstance(node, _DEFS) or node.name.startswith("_"):
-                continue
-            if node.name not in elsewhere | references(source, node.name):
-                unreached.append(node.name)
+        for path in public_definitions(source):
+            if path.rpartition(".")[2] not in elsewhere | references(source, path):
+                unreached.append(path)
     return sorted(unreached)
 
 
@@ -475,6 +504,33 @@ def test_unreached_public_detects_and_ignores():
     assert unreached_public(library, outside) == ["recursive"]
 
 
+def test_unreached_public_methods_detects_and_ignores():
+    library = {
+        "a.py": (
+            "class Box:\n"
+            "    def recursive(self):\n"
+            "        return self.recursive()\n"
+            "    def used(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        return 0\n"
+            "    def tested(self):\n"
+            "        return 0\n"
+            "    def _private(self):\n"
+            "        return 0\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+            "class _Hidden:\n"
+            "    def dead(self):\n"
+            "        return 0\n"
+        ),
+        "b.py": "from .a import Box\nBox().used()\n",
+    }
+    outside = ["box.tested()\n"]
+    # a method's own body does not reach it; another method's body does
+    assert unreached_public(library, outside) == ["Box.recursive", "_Hidden.dead"]
+
+
 # Public names that neither the library, the acceptance suite nor the
 # benchmark reaches, each kept for the reason given.
 TESTED_ONLY = {
@@ -484,8 +540,8 @@ TESTED_ONLY = {
 
 
 def test_every_public_name_is_reached():
-    # A public name that only tests reach is code kept alive by its tests.
-    # The acceptance suite's names stay, and so do the names the
+    # A public name or method that only tests reach is code kept alive by
+    # its tests.  The acceptance suite's names stay, and so do the names the
     # benchmark's tracer binds (directly or as "module.name" strings).
     root = SRC.parent.parent
     library = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES}

@@ -15,7 +15,7 @@ from datalin.oracle import (
     brute_force,
     brute_reversible,
 )
-from datalin.witness import verify_witness
+from datalin.witness import Witness, verify_witness
 
 from conftest import (
     edge_target,
@@ -74,28 +74,36 @@ def test_oracle_column_guard():
 
 
 @pytest.mark.parametrize(
-    "generators, bounds, budget",
+    "generators, target, bounds, budget, outcome",
     [
-        ((pair_generator(),), {"fresh_atoms": 200_000}, {}),
-        ((), {"fresh_atoms": 200_000}, {}),
-        ((pair_generator(),), {"coeff_bound": 200_000}, {"max_nodes": 1_000}),
+        ((pair_generator(),), point_target(2), {"fresh_atoms": 200_000}, {}, OracleGuardError),
+        ((), point_target(2), {"fresh_atoms": 200_000}, {}, None),
+        (
+            (pair_generator(),),
+            point_target(2),
+            {"coeff_bound": 200_000},
+            {"max_nodes": 1_000},
+            OracleGuardError,
+        ),
+        ((pair_generator(),), DataVector(1, 1), {"coeff_bound": 10**9}, {}, Witness(())),
     ],
-    ids=["fresh-atoms", "fresh-atoms-nothing-placed", "coeff-bound"],
+    ids=["fresh-atoms", "fresh-atoms-nothing-placed", "coeff-bound", "coeff-bound-default-budget"],
 )
-def test_oracle_memory_is_set_by_its_guards(generators, bounds, budget):
+def test_oracle_memory_is_set_by_its_guards(generators, target, bounds, budget, outcome):
     # 200,000 fresh atoms give more placements than max_columns allows, so
     # the guard trips before the pool is built, and an empty family needs
-    # no pool; the coefficient branches are built only as far as the node
-    # budget can reach
-    inst = Instance(1, 1, generators, point_target(2))
+    # no pool; a frame carries its own coefficient, so no structure grows
+    # with the coefficient bound or the node budget, not even before a
+    # search that meets its (zero) target at the first node
+    inst = Instance(1, 1, generators, target)
     cfg = dataclasses.replace(OracleConfig(2, 2, **budget), **bounds)
     tracemalloc.start()
     try:
-        if generators:
+        if outcome is OracleGuardError:
             with pytest.raises(OracleGuardError):
                 brute_force(inst, cfg)
         else:
-            assert brute_force(inst, cfg) is None
+            assert brute_force(inst, cfg) == outcome
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
