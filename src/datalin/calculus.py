@@ -513,7 +513,7 @@ def _express_via_simple(
         # The residual's nonzero size-`level` weights, built alone and then
         # kept current by subtracting each placed graph's weights (weights
         # are additive); the residual itself is rebuilt once per level.
-        (weights,) = weight_table(residual, (level,))
+        weights = weight_table(residual, level)
         residual_terms = [(1, residual, {})]
         while True:
             ctx.tick()

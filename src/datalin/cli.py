@@ -382,7 +382,8 @@ def cmd_oracle(args, inst: Instance, table: AtomTable) -> int:
     try:
         w = brute_force(inst, cfg)
     except OracleGuardError as exc:
-        _report(args, "INCONCLUSIVE", {"command": "oracle", "status": str(exc)})
+        payload = {"command": "oracle", "status": "cap", "reason": exc.reason}
+        _report(args, "INCONCLUSIVE", payload)
         return 3
     if w is None:
         _report(args, "ORACLE-ABSENT", {"command": "oracle", "witness": None})

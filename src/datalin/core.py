@@ -12,16 +12,16 @@ the keys with `kset(key) == key`) is kept after an O(k) comparison, with no
 re-sort; every other key goes through `kset`.
 
 Subset weights (the weight of a vertex set X is the sum of the values at
-the keys containing X) have one builder, `weight_table`: size 0 is one
-column sum over the values, size `arity` is the entries themselves, and
-each middle size adds every entry's value into each of its subsets of that
-size (at most entries * 2^k additions in all); it keeps the nonzero
-weights, one sorted dict per subset size.  A hypergraph keeps the table of
-its `mu`, built on first use, for `weight`, `weights_of_size` and
-`nonzero_weight_sets`, so `mu` must not be mutated after construction.  A
-bare data vector keeps none (it may live as long as its instance, a
-hypergraph for one call): its weights are read from `weight_table`, for
-the sizes the caller reads.
+the keys containing X) have one builder, `weight_table(a, size)`, which
+builds one size and keeps its nonzero weights in one sorted dict: size 0
+is one column sum over the values, size `arity` is the entries
+themselves, and a middle size s adds every entry's value into each of its
+C(k, s) subsets of that size.  A hypergraph keeps each size's table of
+its `mu`, built on the first read of that size, for `weight`,
+`weights_of_size` and `nonzero_weight_sets`, so `mu` must not be mutated
+after construction.  A bare data vector keeps none (it may live as long
+as its instance, a hypergraph for one call): a caller builds the sizes it
+reads, one at a time.
 
 Every sum of renamed, scaled copies is one `dv_combine` call, which adds
 each term's renamed values into one dict and canonicalises once (entries *
@@ -35,8 +35,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 # Atoms are canonical nonnegative integers.  Input files may use arbitrary
 # strings; the cli module interns them to integers at parse time.
@@ -212,6 +211,7 @@ class Hypergraph:
             )
         object.__setattr__(self, "mu", dv.entries)
         object.__setattr__(self, "_data_vector", dv)
+        object.__setattr__(self, "_weights", {})  # size -> weight_table, on first read
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         for key in self.mu:
             if not set(key) <= self.vertices:
@@ -225,43 +225,26 @@ class Hypergraph:
         """By value (its vector and vertex set), so constructions can memoize on it."""
         return hash((self.vertices, self._data_vector))
 
-    @cached_property
-    def _weight_table(self) -> tuple[dict[KSet, IntVector], ...]:
-        """`weight_table` of `mu`, built on first use and kept."""
-        return weight_table(self._data_vector)
 
-
-def weight_table(
-    a: DataVector, sizes: Optional[Iterable[int]] = None
-) -> tuple[dict[KSet, IntVector], ...]:
-    """Nonzero subset weights of a data vector, one dict with its keys
-    sorted per subset size in `sizes` (every size 0..arity when None), in
-    that order: the weight of X is the sum of the values at the keys
-    containing X.  Size 0 is one column sum over the values and size
-    `arity` the entries themselves; each middle size adds every entry's
-    value into each of its subsets.  Each call builds fresh dicts, of the
-    sizes asked only."""
+def weight_table(a: DataVector, size: int) -> dict[KSet, IntVector]:
+    """Nonzero weights of the size-`size` subsets of a data vector, in one
+    dict with its keys sorted: the weight of X is the sum of the values at
+    the keys containing X.  Size 0 is one column sum over the values and
+    size `arity` the entries themselves; a middle size adds every entry's
+    value into each of its subsets of that size.  Each call builds a fresh
+    dict."""
     k, entries = a.arity, a.entries
-    sizes = range(k + 1) if sizes is None else tuple(sizes)
-    middle = {size: {} for size in sizes if size != 0 and size != k}
+    if size == 0:
+        total = tuple(map(sum, zip(*entries.values())))
+        return {(): total} if any(total) else {}
+    if size == k:
+        return {x: entries[x] for x in sorted(entries)}
+    layer: dict[KSet, IntVector] = {}
     for key, val in entries.items():
-        for size, layer in middle.items():
-            for x in itertools.combinations(key, size):
-                cur = layer.get(x)
-                layer[x] = (
-                    val if cur is None else tuple([p + q for p, q in zip(cur, val)])
-                )
-    tables = []
-    for size in sizes:
-        if size == 0:
-            total = tuple(map(sum, zip(*entries.values())))
-            tables.append({(): total} if any(total) else {})
-        elif size == k:
-            tables.append({x: entries[x] for x in sorted(entries)})
-        else:
-            layer = middle[size]
-            tables.append({x: layer[x] for x in sorted(layer) if any(layer[x])})
-    return tuple(tables)
+        for x in itertools.combinations(key, size):
+            cur = layer.get(x)
+            layer[x] = val if cur is None else tuple([p + q for p, q in zip(cur, val)])
+    return {x: layer[x] for x in sorted(layer) if any(layer[x])}
 
 
 def encode_hypergraph(a: DataVector) -> Hypergraph:
@@ -276,16 +259,20 @@ def weight(h: Hypergraph, x: Iterable[Atom]) -> IntVector:
     xs = tuple(sorted(set(x)))
     if len(xs) > h.arity:
         raise ShapeError(f"|x| = {len(xs)} exceeds arity {h.arity}")
-    w = h._weight_table[len(xs)].get(xs)
+    w = weights_of_size(h, len(xs)).get(xs)
     return zero_vec(h.dim) if w is None else w
 
 
 def weights_of_size(h: Hypergraph, size: int) -> Mapping[KSet, IntVector]:
     """The nonzero weights of the vertex sets of the given size, keyed by
-    set in sorted order: the hypergraph's own table, not to be mutated."""
-    if not 0 <= size <= h.arity:
-        raise ShapeError(f"need 0 <= size <= arity {h.arity}, got {size}")
-    return h._weight_table[size]
+    set in sorted order: the hypergraph's own table of that size, built on
+    its first read and not to be mutated."""
+    table = h._weights.get(size)
+    if table is None:
+        if not 0 <= size <= h.arity:
+            raise ShapeError(f"need 0 <= size <= arity {h.arity}, got {size}")
+        table = h._weights[size] = weight_table(h._data_vector, size)
+    return table
 
 
 def nonzero_weight_sets(h: Hypergraph, size: int) -> list[KSet]:

@@ -37,6 +37,7 @@ from .core import (
     Instance,
     IntVector,
     dv_combine,
+    weight_table,
     zero_vec,
 )
 from .intlin import IntMatrix, cone_member_certificate, pottier_base_bound
@@ -68,9 +69,10 @@ class NDecision:
 
 
 def data_projection(a: DataVector) -> IntVector:
-    """Componentwise sum of all values (the weight of the empty set);
-    additive, scale-compatible, and renaming-invariant."""
-    return tuple(map(sum, zip(*a.entries.values()))) or zero_vec(a.dim)
+    """The weight of the empty set (`weight_table` of size 0): the
+    componentwise sum of all values; additive, scale-compatible, and
+    renaming-invariant."""
+    return weight_table(a, 0).get((), zero_vec(a.dim))
 
 
 def reversible_partition(inst: Instance) -> ReversibilityPartition:

@@ -47,7 +47,13 @@ from .witness import Witness, make_witness, verify_witness
 
 
 class OracleGuardError(Exception):
-    """The estimated or actual search effort exceeded the safety guard."""
+    """The estimated or actual search effort exceeded the safety guard;
+    `reason` names the guard that tripped: "column_cap" (`max_columns`) or
+    "node_cap" (`max_nodes`)."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ def _columns(inst: Instance, cfg: OracleConfig):
     placed = [(gi, gen) for gi, gen in enumerate(inst.generators) if gen.entries]
     size = len(pool) + cfg.fresh_atoms
     if any(math.comb(size, len(gen.support())) > cfg.max_columns for _gi, gen in placed):
-        raise OracleGuardError("too many generator placements")
+        raise OracleGuardError("too many generator placements", "column_cap")
     if placed:
         pool += FreshAtoms(inst.all_atoms()).take_many(cfg.fresh_atoms)
     seen: set[frozenset] = set()
@@ -105,7 +111,7 @@ def _columns(inst: Instance, cfg: OracleConfig):
             seen.add(ident)
             cols.append((entries, gi, ren))
             if len(cols) > cfg.max_columns:
-                raise OracleGuardError("too many generator placements")
+                raise OracleGuardError("too many generator placements", "column_cap")
     return cols
 
 
@@ -181,7 +187,7 @@ def brute_force(inst: Instance, cfg: OracleConfig) -> Optional[Witness]:
         # evaluate the node at the current residual
         nodes += 1
         if nodes > max_nodes:
-            raise OracleGuardError("search node budget exceeded")
+            raise OracleGuardError("search node budget exceeded", "node_cap")
         if not mask:
             break
         s = (mask.bit_length() - 1) // dim

@@ -116,10 +116,12 @@ class GeneratorLayers:
 
     def failing_subsets(self, target: DataVector) -> Iterator[LocalFailure]:
         """The failing subsets of the local criterion for `target`, lazily,
-        in (size, lexicographic subset) order, over one `weight_table`
-        pass.  Only the layers where the target has a nonzero subset are
-        built, and only as far as the walk is taken."""
-        for size, weights in enumerate(weight_table(target)):
+        in (size, lexicographic subset) order.  The target's weights are
+        built one size at a time (`weight_table`), and only the layers
+        where the target has a nonzero subset are built, each only as far
+        as the walk is taken."""
+        for size in range(target.arity + 1):
+            weights = weight_table(target, size)
             if not weights:
                 continue
             columns = len(self.layer(size).reps)

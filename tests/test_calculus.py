@@ -281,9 +281,7 @@ def test_decomposition_reads_residual_weights_once_per_level(monkeypatch):
     # the residual's tables, each of the one level read; a nested
     # decomposition would have a lower arity
     builds = [args for args in tables if args[0].arity == target.arity]
-    assert [sizes for _, sizes in builds] == [
-        (level,) for level in range(target.arity + 1)
-    ]
+    assert [size for _, size in builds] == list(range(target.arity + 1))
 
 
 @st.composite

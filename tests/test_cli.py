@@ -357,6 +357,18 @@ def test_oracle_command(tmp_path, capsys):
     assert "ORACLE-ABSENT" in capsys.readouterr().out
 
 
+def test_oracle_json_names_the_cap_that_tripped(tmp_path, capsys):
+    # 200,000 fresh atoms give more placements than `max_columns` allows
+    path = write(tmp_path, "ex1.json", EX1)
+    args = ["oracle", path, "--coeff-bound", "1", "--fresh", "200000", "--json"]
+    assert main(args) == 3
+    line, payload = capsys.readouterr().out.splitlines()
+    assert line == "INCONCLUSIVE"
+    assert json.loads(payload) == {
+        "command": "oracle", "status": "cap", "reason": "column_cap"
+    }
+
+
 def test_format_error_exit_code_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -20,7 +20,9 @@ from datalin.core import (
     nonzero_weight_sets,
     weight,
     weight_table,
+    weights_of_size,
 )
+from datalin import core
 
 from conftest import pair_generator, spy, triangle
 
@@ -275,8 +277,6 @@ def scan_weight(h, x):
 @given(hypergraphs())
 def test_weight_table_matches_the_definitional_scan(h):
     atoms = sorted(h.vertices) + [max(h.vertices) + 1]  # one atom outside
-    table = weight_table(h.as_data_vector())
-    assert len(table) == h.arity + 1
     for size in range(h.arity + 1):
         nonzero = {}
         for x in itertools.combinations(atoms, size):
@@ -285,12 +285,29 @@ def test_weight_table_matches_the_definitional_scan(h):
             if any(w):
                 nonzero[x] = w
         assert nonzero_weight_sets(h, size) == list(nonzero)
-        assert list(table[size].items()) == list(nonzero.items())
-        # one size alone builds the same sorted dict
-        (alone,) = weight_table(h.as_data_vector(), (size,))
-        assert list(alone.items()) == list(nonzero.items())
+        # one size's builder gives the same sorted dict
+        table = weight_table(h.as_data_vector(), size)
+        assert list(table.items()) == list(nonzero.items())
     with pytest.raises(ShapeError):
         weight(h, atoms[: h.arity + 1])
+
+
+def test_a_hypergraph_builds_each_size_on_its_first_read(monkeypatch):
+    built = spy(monkeypatch, core, "weight_table")
+    dv = DataVector(3, 1, {(0, 1, 2): (1,), (1, 2, 3): (2,)})
+    g = encode_hypergraph(dv)
+    assert built == []
+    assert weight(g, (2, 1)) == (3,)
+    assert [args[1] for args in built] == [2]
+    # later reads of size 2 use the kept table
+    assert nonzero_weight_sets(g, 2) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    assert weights_of_size(g, 2) is weights_of_size(g, 2)
+    assert weight(g, (0, 3)) == (0,)
+    assert [args[1] for args in built] == [2]
+    assert weight(g, ()) == (3,)
+    assert [args[1] for args in built] == [2, 0]
+    # the kept tables are not part of its value
+    assert g == encode_hypergraph(dv) and hash(g) == hash(encode_hypergraph(dv))
 
 
 def test_weight_is_additive():

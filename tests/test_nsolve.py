@@ -8,8 +8,10 @@ from datalin.core import (
     DataVector,
     Instance,
     dv_add,
+    dv_combine,
     dv_permute,
     dv_scale,
+    kset,
     weight_table,
     zero_vec,
 )
@@ -54,7 +56,7 @@ def test_data_projection_is_additive_and_renaming_invariant(data):
     pi = {0: 7, 1: 8, 2: 9, 3: 10}
     assert data_projection(dv_permute(a, pi)) == data_projection(a)
     # the weight of the empty set, zero when the vector is
-    assert data_projection(a) == weight_table(a, (0,))[0].get((), zero_vec(1))
+    assert data_projection(a) == weight_table(a, 0).get((), zero_vec(1))
 
 
 def test_reversible_partition_pair_generator(ex1):
@@ -345,3 +347,74 @@ def test_criterion_6_stream_answers_are_pinned():
         )
         answers.append(f"{codes[dec.status, dec.reason]}{dec.bounds.coeff_bound}")
     assert answers == _CRITERION_6_ANSWERS
+
+
+@st.composite
+def nonneg_instances(draw):
+    """Arity 1 or 2, dimension 1, atoms 0..3: one or two generators with
+    values 1..2, sometimes with the negation of the first one added (which
+    makes both reversible), and a target with values 1..2."""
+    k = draw(st.integers(min_value=1, max_value=2))
+    keys = st.frozensets(st.integers(min_value=0, max_value=3), min_size=k, max_size=k)
+
+    def vec(min_size):
+        return st.dictionaries(
+            keys, st.integers(min_value=1, max_value=2), min_size=min_size, max_size=3
+        ).map(lambda e: DataVector(k, 1, {kset(x): (v,) for x, v in e.items()}))
+
+    gens = draw(st.lists(vec(1), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        gens.append(dv_scale(-1, gens[0]))
+    return Instance(k, 1, tuple(gens), draw(vec(0)))
+
+
+# renamings of atoms 0..3 into 0..7
+_renamings = st.permutations(range(8)).map(lambda p: dict(enumerate(p[:4])))
+_N_CAPS = {"coeff_cap": 300, "guess_cap": 5_000}
+
+
+def _agree(a, b):
+    """Neither decision is SOLVABLE where the other is UNSOLVABLE."""
+    return {a.status, b.status} != {"SOLVABLE", "UNSOLVABLE"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_instances(), _renamings, st.data())
+def test_n_answers_survive_renaming_reordering_duplication(inst, pi, data):
+    dec = n_solvable(inst, **_N_CAPS)
+    gens = inst.generators
+    renamed = Instance(
+        inst.arity, 1, tuple(dv_permute(g, pi) for g in gens), dv_permute(inst.target, pi)
+    )
+    twice = data.draw(st.integers(min_value=0, max_value=len(gens) - 1))
+    for variant in (
+        renamed,
+        Instance(inst.arity, 1, gens[::-1], inst.target),
+        Instance(inst.arity, 1, (*gens, gens[twice]), inst.target),
+    ):
+        assert _agree(dec, n_solvable(variant, **_N_CAPS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonneg_instances(), _renamings, st.data())
+def test_a_solvable_answer_is_consistent(inst, pi, data):
+    dec = n_solvable(inst, **_N_CAPS)
+    if dec.status != "SOLVABLE":
+        return
+    assert zsolve.z_solvable(inst)
+    # the guess places nonreversible copies only, and the reversible
+    # generators Z-solve what it leaves
+    part = reversible_partition(inst)
+    assert all(gi in part.nonreversible for gi, _ in dec.guess)
+    residual = dv_combine(
+        inst.arity,
+        1,
+        [(1, inst.target, {}), *((-1, inst.generators[gi], dict(r)) for gi, r in dec.guess)],
+    )
+    rev = GeneratorLayers([inst.generators[i] for i in part.reversible], 1)
+    assert rev.admits(residual)
+    # one more renamed copy of a generator keeps the target solvable
+    gi = data.draw(st.integers(min_value=0, max_value=len(inst.generators) - 1))
+    more = dv_add(inst.target, dv_permute(inst.generators[gi], pi))
+    grown = Instance(inst.arity, 1, inst.generators, more)
+    assert n_solvable(grown, **_N_CAPS).status != "UNSOLVABLE"

@@ -56,21 +56,23 @@ def test_oracle_n_mode_finds_nonnegative_combination():
 
 
 def test_oracle_guard_trips_on_tiny_budget(ex2):
-    with pytest.raises(OracleGuardError):
+    with pytest.raises(OracleGuardError) as trip:
         brute_force(
             ex2,
             OracleConfig(coeff_bound=2, fresh_atoms=3, max_nodes=3),
         )
+    assert trip.value.reason == "node_cap"
 
 
 def test_oracle_column_guard():
     gen = triangle(0, 1, 2)
     inst = Instance(2, 1, (gen,), edge_target(6))
-    with pytest.raises(OracleGuardError):
+    with pytest.raises(OracleGuardError) as trip:
         brute_force(
             inst,
             OracleConfig(coeff_bound=1, fresh_atoms=3, max_columns=2),
         )
+    assert trip.value.reason == "column_cap"
 
 
 @pytest.mark.parametrize(
@@ -269,7 +271,7 @@ def _reference_columns(inst, cfg):
                 continue
             seen[vec] = (gi, ren)
             if len(seen) > cfg.max_columns:
-                raise OracleGuardError("too many generator placements")
+                raise OracleGuardError("too many generator placements", "column_cap")
     return [(vec, gi, ren) for vec, (gi, ren) in seen.items()]
 
 

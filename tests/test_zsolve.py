@@ -152,6 +152,21 @@ def test_admits_stops_at_the_first_failure(monkeypatch):
     assert [args[1] for args in solved] == [(5,)]
 
 
+def test_admits_builds_the_target_weights_up_to_the_first_failure(
+    monkeypatch, ex2_odd
+):
+    # the edge worth 3 passes layer 0 (the triangle's total is 3) and first
+    # fails at its singletons, which the triangle weighs 2 each
+    built = spy(monkeypatch, zsolve, "weight_table")
+    gens, target = ex2_odd.generators, ex2_odd.target
+    assert not zsolve.GeneratorLayers(gens, 1).admits(target)
+    assert [args[1] for args in built] == [0, 1]
+    built.clear()
+    report = zsolve.GeneratorLayers(gens, 1).check(target)
+    assert report.failures[0].subset == (0,)
+    assert [args[1] for args in built] == [0, 1, 2]
+
+
 def test_layer_columns_dedup():
     gens = (
         encode_hypergraph(triangle(0, 1, 2)),
