@@ -17,7 +17,10 @@ Every command takes one path through `main`: the parser built at import,
 one load of the instance file (for all but `gen`), handed to the command as
 (args, inst, table), and one error boundary.  Input problems raise
 `FormatError` where the input is read or checked; any other exception is
-an internal error.
+an internal error.  Each document has one writer: `emit_instance` (`gen`
+prints through it, entries sorted by atom id), `emit_witness`, whose
+`emit_renaming` also writes `nsolve`'s guess, and `_search_report`, which
+reports the `witness` and `oracle` searches and picks their exit codes.
 
 Exit codes: 0 solvable/verified, 1 not solvable/not verified, 2 usage or
 input error (also an unreadable, non-UTF-8 or too deeply nested file and a
@@ -235,16 +238,18 @@ def parse_witness(raw: Any, table: AtomTable) -> Witness:
     return Witness(tuple(terms))
 
 
+def emit_renaming(ren, table: AtomTable) -> dict:
+    """A renaming's (source, image) pairs as one JSON object."""
+    return {str(table.name_of(a)): table.name_of(b) for a, b in ren}
+
+
 def emit_witness(w: Witness, table: AtomTable) -> dict:
     return {
         "terms": [
             {
                 "coeff": t.coeff if abs(t.coeff) <= _MAX_SAFE else str(t.coeff),
                 "generator": t.generator,
-                "renaming": {
-                    str(table.name_of(a)): table.name_of(b)
-                    for a, b in t.renaming
-                },
+                "renaming": emit_renaming(t.renaming, table),
             }
             for t in w.terms
         ]
@@ -273,6 +278,24 @@ def _report(args, line: str, payload: dict) -> None:
     print(line)
     if args.json:
         _dump_json(payload)
+
+
+def _search_report(args, table, search, cap_error, found: str, absent: str) -> int:
+    """Run a witness search and report it: a tripped cap is INCONCLUSIVE
+    with the cap's `reason` (exit 3), no witness is the `absent` line
+    (exit 1), and a witness is the `found` line and the witness (exit 0)."""
+    try:
+        w = search()
+    except cap_error as exc:
+        payload = {"command": args.command, "status": "cap", "reason": exc.reason}
+        _report(args, "INCONCLUSIVE", payload)
+        return 3
+    if w is None:
+        _report(args, absent, {"command": args.command, "witness": None})
+        return 1
+    print(found)
+    _dump_json(emit_witness(w, table))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +332,7 @@ def cmd_nsolve(args, inst: Instance, table: AtomTable) -> int:
         payload["reason"] = dec.reason
     if dec.status == "SOLVABLE":
         payload["nonreversible_part"] = [
-            {
-                "generator": gi,
-                "renaming": {
-                    str(table.name_of(a)): table.name_of(b) for a, b in ren
-                },
-            }
+            {"generator": gi, "renaming": emit_renaming(ren, table)}
             for gi, ren in dec.guess
         ]
     line = {
@@ -349,18 +367,8 @@ def cmd_check_local(args, inst: Instance, table: AtomTable) -> int:
 
 
 def cmd_witness(args, inst: Instance, table: AtomTable) -> int:
-    try:
-        w = extract_witness_general(inst)
-    except CapExceeded as exc:
-        payload = {"command": "witness", "status": "cap", "reason": exc.reason}
-        _report(args, "INCONCLUSIVE", payload)
-        return 3
-    if w is None:
-        _report(args, "NO-WITNESS", {"command": "witness", "witness": None})
-        return 1
-    print("WITNESS-FOUND")
-    _dump_json(emit_witness(w, table))
-    return 0
+    return _search_report(args, table, lambda: extract_witness_general(inst),
+                          CapExceeded, "WITNESS-FOUND", "NO-WITNESS")
 
 
 def cmd_verify(args, inst: Instance, table: AtomTable) -> int:
@@ -379,77 +387,40 @@ def cmd_verify(args, inst: Instance, table: AtomTable) -> int:
 
 def cmd_oracle(args, inst: Instance, table: AtomTable) -> int:
     cfg = OracleConfig(args.coeff_bound, args.fresh, args.mode)
-    try:
-        w = brute_force(inst, cfg)
-    except OracleGuardError as exc:
-        payload = {"command": "oracle", "status": "cap", "reason": exc.reason}
-        _report(args, "INCONCLUSIVE", payload)
-        return 3
-    if w is None:
-        _report(args, "ORACLE-ABSENT", {"command": "oracle", "witness": None})
-        return 1
-    print("ORACLE-FOUND")
-    _dump_json(emit_witness(w, table))
-    return 0
+    return _search_report(args, table, lambda: brute_force(inst, cfg),
+                          OracleGuardError, "ORACLE-FOUND", "ORACLE-ABSENT")
 
 
 def cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
-    atoms = [f"a{i}" for i in range(args.atoms)]
     if args.atoms < args.arity:
         raise FormatError("need at least as many atoms as the arity")
+    rng, lim = random.Random(args.seed), args.weight_range
+    table = AtomTable()
+    atoms = [table.intern(f"a{i}") for i in range(args.atoms)]
 
-    def random_vector() -> list:
-        n_entries = rng.randint(1, max(1, args.atoms - args.arity + 1))
-        seen = set()
-        out = []
-        for _ in range(n_entries):
+    def random_vector() -> DataVector:
+        entries: dict = {}
+        for _ in range(rng.randint(1, max(1, args.atoms - args.arity + 1))):
             key = tuple(sorted(rng.sample(atoms, args.arity)))
-            if key in seen:
-                continue
-            seen.add(key)
-            val = [
-                rng.randint(-args.weight_range, args.weight_range)
-                for _ in range(args.dim)
-            ]
-            if any(val):
-                out.append({"set": list(key), "value": [str(v) for v in val]})
-        return out
+            if key not in entries:
+                entries[key] = [rng.randint(-lim, lim) for _ in range(args.dim)]
+        return DataVector(args.arity, args.dim, entries)  # drops zero values
 
     gens = []
     while len(gens) < args.gens:
         g = random_vector()
-        if g:
+        if g.entries:
             gens.append(g)
     # target: a small combination of renamed generators
-    table = AtomTable()
-    for a in atoms:
-        table.intern(a)
-    inst = parse_instance(
-        {
-            "arity": args.arity,
-            "dimension": args.dim,
-            "generators": gens,
-            "target": gens[0],
-        },
-        table,
-    )
     copies = []
     for _ in range(rng.randint(1, 3)):
-        g = inst.generators[rng.randrange(len(inst.generators))]
+        g = gens[rng.randrange(len(gens))]
         sup = sorted(g.support())
-        pool = list(range(args.atoms))
-        image = rng.sample(pool, len(sup))
-        coeff = rng.choice([-2, -1, 1, 2])
-        copies.append((coeff, g, dict(zip(sup, image))))
+        image = rng.sample(atoms, len(sup))
+        copies.append((rng.choice([-2, -1, 1, 2]), g, dict(zip(sup, image))))
     target = dv_combine(args.arity, args.dim, copies)
-    doc = {
-        "arity": args.arity,
-        "dimension": args.dim,
-        "generators": gens,
-        "target": emit_data_vector(target, table),
-    }
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    inst = Instance(args.arity, args.dim, tuple(gens), target)
+    _dump_json(emit_instance(inst, table))
     return 0
 
 

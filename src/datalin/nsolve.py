@@ -5,12 +5,13 @@ plain integer vectors, split the generators into reversible ones (whose
 negation is again a nonnegative combination, so they may be subtracted
 freely) and nonreversible ones, bound the total multiplicity of
 nonreversible copies by Pottier's bound on the projection system
-(`intlin.pottier_base_bound`), enumerate the bounded guesses for the
-nonreversible part, and solve the residual over the reversible generators
-as an integer (Z) problem.  Caps make the search honest: truncation yields
-INCONCLUSIVE, never a wrong certificate.  `n_solvable` runs the public
-stages `reversible_partition`, `nonreversible_bound` and the Z refusal
-`zsolve.z_solvable`, once each.
+(`intlin.pottier_base_bound`) and walk only the totals that the split's
+Farkas functional allows at the target, enumerate the bounded guesses for
+the nonreversible part, and solve the residual over the reversible
+generators as an integer (Z) problem.  Caps make the search honest:
+truncation yields INCONCLUSIVE, never a wrong certificate.  `n_solvable`
+runs the public stages `reversible_partition`, `nonreversible_bound` and
+the Z refusal `zsolve.z_solvable`, once each.
 
 The split shares cone certificates: each one decides every generator it
 covers, so one simplex runs per generator still undecided.  The Z refusal
@@ -27,6 +28,7 @@ residual is checked.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +38,7 @@ from .core import (
     FreshAtoms,
     Instance,
     IntVector,
+    VerificationError,
     dv_combine,
     weight_table,
     zero_vec,
@@ -51,6 +54,7 @@ COEFF_CAP = 10_000  # default `coeff_cap`, also `datalin nsolve --cap`'s
 class ReversibilityPartition:
     reversible: tuple[int, ...]
     nonreversible: tuple[int, ...]
+    functional: IntVector  # z: z.p_r = 0 for reversible r, z.p_i > 0 otherwise
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,17 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
     skipped.
 
     If -p_i = sum q_j p_j with q >= 0, every j with q_j > 0 is reversible:
-    -p_j = (p_i + sum_{l != j} q_l p_l) / q_j.  If instead a Farkas z has
-    z.p_l >= 0 for every l and z.p_i > 0, every j with z.p_j > 0 is
-    nonreversible: z is nonnegative on the cone, negative on -p_j."""
+    -p_j = (p_i + sum_{l != j} q_l p_l) / q_j.  If instead a Farkas z_i has
+    z_i.p_l >= 0 for every l and z_i.p_i > 0, every j with z_i.p_j > 0 is
+    nonreversible: z_i is nonnegative on the cone, negative on -p_j.
+
+    `functional` is the sum z of those z_i, scaled to integers: z.p_j > 0
+    for each nonreversible j (a z_i decided it and none is negative), and
+    z.p_r = 0 for each reversible r (z >= 0 on p_r and -p_r, both in the
+    cone).  Both are checked."""
     projections = [data_projection(g) for g in inst.generators]
     reversible: dict[int, bool] = {}
+    functional = (0,) * inst.dim
     for i, p in enumerate(projections):
         if i in reversible:
             continue
@@ -98,14 +108,26 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
                 if q > 0:
                     reversible[j] = True
         else:
+            scale = math.lcm(*(c.denominator for c in cert))
+            z = [c.numerator * (scale // c.denominator) for c in cert]
+            functional = tuple(map(sum, zip(functional, z)))
             for j, pj in enumerate(projections):
-                if sum(z * x for z, x in zip(cert, pj)) > 0:
+                if _dot(z, pj) > 0:
                     reversible[j] = False
+    for i, p in enumerate(projections):
+        level = _dot(functional, p)
+        if level < 0 or (level > 0) == reversible[i]:
+            raise VerificationError("Farkas sum is not 0 on reversible, > 0 on others")
     order = range(len(projections))
     return ReversibilityPartition(
         tuple(i for i in order if reversible[i]),
         tuple(i for i in order if not reversible[i]),
+        functional,
     )
+
+
+def _dot(z, p) -> int:
+    return sum(a * b for a, b in zip(z, p))
 
 
 def nonreversible_bound(
@@ -143,9 +165,14 @@ def n_solvable(
     decided the one (empty) guess.  Otherwise enumerate the multiplicities
     of nonreversible copies (pruned by the projection equation), place each
     copy canonically over the target support plus fresh atoms, and Z-solve
-    the residual over the reversible generators only.  Exhausted enumeration within the caps is
-    a certificate of UNSOLVABLE; truncation reports INCONCLUSIVE with the
-    cap that tripped as its `reason`.
+    the residual over the reversible generators only.  Exhausted
+    enumeration within the caps is a certificate of UNSOLVABLE; truncation
+    reports INCONCLUSIVE with the cap that tripped as its `reason`.
+
+    Totals stop at min(coeff_bound, z.t // m), z the split's `functional`
+    and m its least nonreversible z.p_i: a composition c that passes the
+    projection test leaves t - sum c_i p_i in the reversible span, where z
+    vanishes, so z.t = sum c_i z.p_i >= m * sum c_i; no guess changes.
     """
     gens = inst.generators
     part = reversible_partition(inst)
@@ -171,7 +198,9 @@ def n_solvable(
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
     nonrev_proj = [data_projection(gens[i]) for i in nonrev]
-    total_cap = bounds.coeff_bound
+    level = _dot(part.functional, target_proj)
+    least = min(_dot(part.functional, p) for p in nonrev_proj)
+    total_cap = min(bounds.coeff_bound, level // least)
     supp = sorted(inst.target.support())
     fresh = FreshAtoms(inst.all_atoms())
     fresh_base = fresh.take()  # first canonical fresh atom id

@@ -19,8 +19,13 @@ from datalin.cli import (
 from datalin import calculus, intlin
 from datalin.calculus import CalculusError
 from datalin.core import ShapeError, VerificationError
-from datalin.witness import WitnessTerm, Witness, extract_witness_general
-from datalin.zsolve import GeneratorLayers
+from datalin.witness import (
+    WitnessTerm,
+    Witness,
+    extract_witness_general,
+    verify_witness,
+)
+from datalin.zsolve import GeneratorLayers, z_solvable
 
 from conftest import no_leaving_row, spy
 
@@ -449,6 +454,34 @@ def test_gen_is_byte_stable(capsys):
     assert capsys.readouterr().out == first
     inst = parse_instance(json.loads(first), AtomTable())
     assert inst.arity == 2
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gen_plants_a_z_solvable_target(capsys, arity, dim):
+    for seed in range(20):
+        argv = ["gen", "--seed", str(seed), "--arity", str(arity), "--dim", str(dim)]
+        assert main(argv) == 0
+        inst = parse_instance(json.loads(capsys.readouterr().out), AtomTable())
+        assert z_solvable(inst)
+        assert verify_witness(inst, extract_witness_general(inst), "Z")
+
+
+def test_nsolve_stops_at_the_functional_level(tmp_path, capsys):
+    # x+y, x+y+z and 2x+y against 1 at a new atom: the Pottier bound of
+    # 2,592 is under the default --cap, and z = (1) allows no copy at all
+    unit = [{"set": [a], "value": ["1"]} for a in "xyz"]
+    inst = {
+        "arity": 1,
+        "dimension": 1,
+        "generators": [unit[:2], unit, [{"set": ["x"], "value": ["2"]}, unit[1]]],
+        "target": [{"set": ["w"], "value": ["1"]}],
+    }
+    assert main(["nsolve", "--json", write(tmp_path, "three.json", inst)]) == 1
+    line, report = capsys.readouterr().out.splitlines()
+    assert line == "NOT-N-SOLVABLE"
+    assert json.loads(report)["status"] == "UNSOLVABLE"
+    assert json.loads(report)["coeff_bound"] == "2592"
 
 
 def run_cli(*argv):

@@ -104,6 +104,11 @@ def test_partition_matches_the_per_generator_definition(data):
     )
     assert part.reversible == rev
     assert part.nonreversible == tuple(i for i in range(n) if i not in rev)
+    # the kept functional vanishes on the reversible projections and is
+    # positive on the others
+    levels = [sum(z * x for z, x in zip(part.functional, p)) for p in projections]
+    assert [i for i, v in enumerate(levels) if v == 0] == list(rev)
+    assert all(levels[i] > 0 for i in part.nonreversible)
 
 
 def test_nonreversible_bound_values(ex1, ex2):
@@ -282,6 +287,20 @@ def test_placement_walk_takes_any_number_of_copies():
     dec = n_solvable(inst, coeff_cap=3_000_000)
     assert dec.status == "SOLVABLE"
     assert dec.guess == ((0, ((0, 1),)),) * 1500
+
+
+def test_walk_stops_at_the_level_of_the_functional(monkeypatch):
+    # x+y and x+y+z against 1 at a new atom: Pottier allows 432 copies, but
+    # z = (1) allows 1 // 2 = 0, so the walk tests only the empty
+    # composition; without the level it tested 93,961 on the way to the
+    # same answer
+    solves = spy(monkeypatch, GeneratorLayers, "solve")
+    triple = DataVector(1, 1, {(0,): (1,), (1,): (1,), (2,): (1,)})
+    inst = Instance(1, 1, (pair_generator(), triple), point_target(1, atom=3))
+    dec = n_solvable(inst, guess_cap=1)
+    assert (dec.status, dec.bounds.coeff_bound) == ("UNSOLVABLE", 432)
+    on_reversible = [c for c in solves if c[0].hypergraphs == () and c[1] == 0]
+    assert len(on_reversible) == 1
 
 
 def test_n_solvable_runs_each_public_stage_once(monkeypatch):
