@@ -7,6 +7,7 @@ constructive witnesses and brute-force cross-checking oracles.
 
 from .core import (
     Atom,
+    CapExceeded,
     DataVector,
     FreshAtoms,
     Hypergraph,
@@ -31,8 +32,6 @@ from .intlin import (
 )
 from .zsolve import LocalFailure, LocalReport, local_check, z_solvable
 from .calculus import (
-    CalculusError,
-    CapExceeded,
     ReductionMatrix,
     SimpleSpec,
     construct_simple,

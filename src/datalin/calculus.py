@@ -25,12 +25,14 @@ from typing import Mapping, Optional, Sequence
 
 from .core import (
     Atom,
+    CapExceeded,
     DataVector,
     FreshAtoms,
     Hypergraph,
     IntVector,
     KSet,
     ShapeError,
+    VerificationError,
     dv_combine,
     encode_hypergraph,
     kset,
@@ -44,19 +46,6 @@ from .core import (
 )
 from .intlin import IntMatrix, rank_full
 from .zsolve import GeneratorLayers
-
-
-class CalculusError(Exception):
-    """Internal consistency failure in a construction (a bug signal)."""
-
-
-class CapExceeded(CalculusError):
-    """A construction exceeded its resource cap; `reason` names the cap that
-    tripped: "step_cap" (`_MAX_STEPS`) or "term_cap" (`_MAX_TERMS`)."""
-
-    def __init__(self, message: str, reason: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +340,7 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
                 v for v in sup if v != alpha and v not in s_hg.vertices
             ]
             if not candidates:
-                raise CalculusError("no spare vertex for the elimination step")
+                raise VerificationError("no spare vertex for the elimination step")
             correction += _lift(
                 [(c, ren) for c, _gi, ren in fam_terms], sup, co_support,
                 alpha, alpha, candidates[0], ctx,
@@ -366,7 +355,7 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
         ev = eval_terms(g.as_data_vector(), terms)
         nxt = encode_hypergraph(ev)
         if alpha in ev.support() or not ev.support() < set(sup):
-            raise CalculusError("elimination step failed to drop the vertex")
+            raise VerificationError("elimination step failed to drop the vertex")
         current = nxt
     base_vertices = sorted(current.as_data_vector().support())
     # Individual terms may still mention eliminated vertices (those mentions
@@ -396,9 +385,9 @@ def construct_simple(g: Hypergraph, x):
     hg, spec, terms = _construct_simple(g, xs, ctx)
     terms = merge_terms(terms)
     if not verify_simple(hg, spec):
-        raise CalculusError("constructed hypergraph failed simplicity check")
+        raise VerificationError("constructed hypergraph failed simplicity check")
     if eval_terms(g.as_data_vector(), terms) != hg.as_data_vector():
-        raise CalculusError("constructed witness does not evaluate to output")
+        raise VerificationError("constructed witness does not evaluate to output")
     return hg, spec, terms
 
 
@@ -424,7 +413,7 @@ def _simple_with_value(
     m = len(A)
     sol = layers.solve(m, a)
     if sol is None:
-        raise CalculusError(
+        raise VerificationError(
             f"value {a} outside the integer span of size-{m} family weights"
         )
     placed = []
@@ -447,7 +436,7 @@ def _simple_with_value(
     hg = Hypergraph(set(A) | set(B) | set(C), arity, dim, total)
     spec = SimpleSpec(m, a, A, B, C)
     if not verify_simple(hg, spec):
-        raise CalculusError("family combination failed simplicity check")
+        raise VerificationError("family combination failed simplicity check")
     return hg, spec, fam_terms
 
 
@@ -521,12 +510,12 @@ def _express_via_simple(
                 break
             chosen = _pick(weights, verts)
             if chosen is None:
-                raise CalculusError("improvement loop stuck with nonzero weights")
+                raise VerificationError("improvement loop stuck with nonzero weights")
             l_set, below = chosen
             c_pool = [v for v in verts if v not in l_set and v not in below]
             c_block = tuple(c_pool[: max(0, 2 * (k - level) - 1)])
             if len(c_block) < max(0, 2 * (k - level) - 1):
-                raise CalculusError("not enough vertices for the free block")
+                raise VerificationError("not enough vertices for the free block")
             s_hg, s_spec, s_terms = _simple_with_value(
                 layers, weights[l_set], l_set, below, c_block, k, ctx
             )
@@ -540,15 +529,16 @@ def _express_via_simple(
                     del weights[x]
         residual = dv_combine(k, d, residual_terms)
     if residual.entries:
-        raise CalculusError("decomposition left a nonzero residual")
+        raise VerificationError("decomposition left a nonzero residual")
     return entries
 
 
 def express_via_simple(layers: GeneratorLayers, h: DataVector, vertices):
     """Decompose h over the family of `layers` (see `_express_via_simple`)
     in a construction context of its own; a layer the owner factored before
-    is not factored again.  Raises CapExceeded past `_MAX_STEPS` steps or
-    `_MAX_TERMS` terms."""
+    is not factored again.  Raises `core.CapExceeded` past `_MAX_STEPS`
+    steps ("step_cap") or `_MAX_TERMS` terms ("term_cap"), and
+    `VerificationError` where a step fails its own check."""
     used = set(vertices)
     for g in layers.hypergraphs:
         used |= g.vertices

@@ -15,12 +15,13 @@ built only for the message of the error that names it.
 
 Every command takes one path through `main`: the parser built at import,
 one load of the instance file (for all but `gen`), handed to the command as
-(args, inst, table), and one error boundary.  Input problems raise
-`FormatError` where the input is read or checked; any other exception is
-an internal error.  Each document has one writer: `emit_instance` (`gen`
-prints through it, entries sorted by atom id), `emit_witness`, whose
-`emit_renaming` also writes `nsolve`'s guess, and `_search_report`, which
-reports the `witness` and `oracle` searches and picks their exit codes.
+(args, inst, table), and one error boundary that maps each exception class
+once: `FormatError` (raised where the input is read or checked) exits 2, a
+`core.CapExceeded` is INCONCLUSIVE and anything else an internal error.
+Each document has one writer: `emit_instance` (`gen` prints through it,
+entries sorted by atom id), `emit_witness`, whose `emit_renaming` also
+writes `nsolve`'s guess, and `_search_report`, which reports the found and
+absent witnesses of the `witness` and `oracle` searches.
 
 Exit codes: 0 solvable/verified, 1 not solvable/not verified, 2 usage or
 input error (also an unreadable, non-UTF-8 or too deeply nested file and a
@@ -40,10 +41,9 @@ import sys
 import traceback
 from typing import Any
 
-from .calculus import CapExceeded
-from .core import Atom, DataVector, Instance, ShapeError, dv_combine
+from .core import Atom, CapExceeded, DataVector, Instance, ShapeError, dv_combine
 from .nsolve import COEFF_CAP, n_solvable
-from .oracle import OracleConfig, OracleGuardError, brute_force
+from .oracle import OracleConfig, brute_force
 from .witness import (
     Witness,
     WitnessTerm,
@@ -280,16 +280,9 @@ def _report(args, line: str, payload: dict) -> None:
         _dump_json(payload)
 
 
-def _search_report(args, table, search, cap_error, found: str, absent: str) -> int:
-    """Run a witness search and report it: a tripped cap is INCONCLUSIVE
-    with the cap's `reason` (exit 3), no witness is the `absent` line
-    (exit 1), and a witness is the `found` line and the witness (exit 0)."""
-    try:
-        w = search()
-    except cap_error as exc:
-        payload = {"command": args.command, "status": "cap", "reason": exc.reason}
-        _report(args, "INCONCLUSIVE", payload)
-        return 3
+def _search_report(args, table, w, found: str, absent: str) -> int:
+    """Report a witness search: no witness is the `absent` line (exit 1),
+    and a witness is the `found` line and the witness (exit 0)."""
     if w is None:
         _report(args, absent, {"command": args.command, "witness": None})
         return 1
@@ -367,8 +360,8 @@ def cmd_check_local(args, inst: Instance, table: AtomTable) -> int:
 
 
 def cmd_witness(args, inst: Instance, table: AtomTable) -> int:
-    return _search_report(args, table, lambda: extract_witness_general(inst),
-                          CapExceeded, "WITNESS-FOUND", "NO-WITNESS")
+    return _search_report(args, table, extract_witness_general(inst),
+                          "WITNESS-FOUND", "NO-WITNESS")
 
 
 def cmd_verify(args, inst: Instance, table: AtomTable) -> int:
@@ -387,8 +380,8 @@ def cmd_verify(args, inst: Instance, table: AtomTable) -> int:
 
 def cmd_oracle(args, inst: Instance, table: AtomTable) -> int:
     cfg = OracleConfig(args.coeff_bound, args.fresh, args.mode)
-    return _search_report(args, table, lambda: brute_force(inst, cfg),
-                          OracleGuardError, "ORACLE-FOUND", "ORACLE-ABSENT")
+    return _search_report(args, table, brute_force(inst, cfg),
+                          "ORACLE-FOUND", "ORACLE-ABSENT")
 
 
 def cmd_gen(args) -> int:
@@ -489,6 +482,10 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CapExceeded as exc:
+        payload = {"command": args.command, "status": "cap", "reason": exc.reason}
+        _report(args, "INCONCLUSIVE", payload)
+        return 3
     except Exception as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"

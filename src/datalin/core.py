@@ -4,12 +4,15 @@ A *data vector* is a finitely supported map from k-element sets of atoms to
 integer vectors of a fixed dimension d.  A *hypergraph* is the finite carrier
 of a data vector: the vector itself together with an explicit vertex set
 (possibly with isolated vertices).  All values are immutable after
-construction and all integers are arbitrary precision.
+construction and all integers are arbitrary precision.  Each class of failure
+has one exception, defined here: `ShapeError` (a malformed value),
+`VerificationError` (a failed self-check: a bug) and `CapExceeded` (a cap).
 
 A data vector has one constructor.  A key that is already canonical (a
 tuple of `arity` strictly increasing atoms, the first nonnegative: exactly
 the keys with `kset(key) == key`) is kept after an O(k) comparison, with no
-re-sort; every other key goes through `kset`.
+re-sort; every other key goes through `kset`, and two keys that name one
+set raise `ShapeError`.
 
 Subset weights (the weight of a vertex set X is the sum of the values at
 the keys containing X) have one builder, `weight_table(a, size)`, which
@@ -53,7 +56,15 @@ class ShapeError(ValueError):
 
 
 class VerificationError(Exception):
-    """A computed answer failed its re-verification (raised, not asserted)."""
+    """A computed answer or a construction step failed its own check."""
+
+
+class CapExceeded(Exception):
+    """A resource cap cut the work short; `reason` names the cap."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 def kset(atoms: Iterable[Atom]) -> KSet:
@@ -90,24 +101,33 @@ class DataVector:
     def __post_init__(self) -> None:
         arity, dim = self.arity, self.dim
         clean: dict[KSet, IntVector] = {}
+        named: set[KSet] = set()  # keys canonicalised here or of zero values
         for key, val in self.entries.items():
             # a canonical key (kset(key) == key) is kept after an O(k) check
-            if not (
+            if (
                 type(key) is tuple
                 and len(key) == arity
                 and (not key or key[0] >= 0)
                 and all(map(operator.lt, key, key[1:]))
             ):
+                if named and key in named:
+                    raise ShapeError(f"two keys name the set {key}")
+            else:
                 key = kset(key)
                 if len(key) != arity:
                     raise ShapeError(
                         f"key {key} has length {len(key)}, arity is {arity}"
                     )
+                if key in clean or key in named:
+                    raise ShapeError(f"two keys name the set {key}")
+                named.add(key)
             v = tuple(val)
             if len(v) != dim:
                 raise ShapeError(f"value {v} has length {len(v)}, dim is {dim}")
             if any(v):
                 clean[key] = v
+            else:
+                named.add(key)
         object.__setattr__(self, "entries", clean)
 
     def support(self) -> frozenset[Atom]:

@@ -55,6 +55,7 @@ class ReversibilityPartition:
     reversible: tuple[int, ...]
     nonreversible: tuple[int, ...]
     functional: IntVector  # z: z.p_r = 0 for reversible r, z.p_i > 0 otherwise
+    projections: tuple[IntVector, ...]  # p_i, each generator's `data_projection`
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
     `functional` is the sum z of those z_i, scaled to integers: z.p_j > 0
     for each nonreversible j (a z_i decided it and none is negative), and
     z.p_r = 0 for each reversible r (z >= 0 on p_r and -p_r, both in the
-    cone).  Both are checked."""
+    cone).  Both are checked.  The projections are kept for the later stages."""
     projections = [data_projection(g) for g in inst.generators]
     reversible: dict[int, bool] = {}
     functional = (0,) * inst.dim
@@ -123,6 +124,7 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
         tuple(i for i in order if reversible[i]),
         tuple(i for i in order if not reversible[i]),
         functional,
+        tuple(projections),
     )
 
 
@@ -140,10 +142,9 @@ def nonreversible_bound(
     supp_size = len(inst.target.support())
     if not part.nonreversible:
         return NBoundData(0, 0, supp_size)
-    projections = [data_projection(g) for g in inst.generators]
-    distinct_nonrev = {projections[i] for i in part.nonreversible}
+    distinct_nonrev = {part.projections[i] for i in part.nonreversible}
     coeff_bound = len(distinct_nonrev) * pottier_base_bound(
-        IntMatrix.from_columns(projections, nrows=inst.dim),
+        IntMatrix.from_columns(part.projections, nrows=inst.dim),
         data_projection(inst.target),
     )
     s_max = max(
@@ -197,7 +198,7 @@ def n_solvable(
     rev = GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
     target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
-    nonrev_proj = [data_projection(gens[i]) for i in nonrev]
+    nonrev_proj = [part.projections[i] for i in nonrev]
     level = _dot(part.functional, target_proj)
     least = min(_dot(part.functional, p) for p in nonrev_proj)
     total_cap = min(bounds.coeff_bound, level // least)

@@ -24,7 +24,7 @@ stack of (placement, next branch, applied coefficient) frames replaces
 recursion and spells out the witness when the target is met; a frame
 computes each branch's coefficient from its index.  So every structure
 is sized by the placement count: max_columns alone sets the memory, and
-max_nodes bounds time only.
+max_nodes bounds time only; a tripped guard raises `OracleGuardError`.
 
 The oracle shares no code with the deciders: it uses `core` and the
 witness verifier only.
@@ -37,23 +37,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import (
-    FreshAtoms,
-    Instance,
-    VerificationError,
-    dv_scale,
-)
+from .core import CapExceeded, FreshAtoms, Instance, VerificationError, dv_scale
 from .witness import Witness, make_witness, verify_witness
 
 
-class OracleGuardError(Exception):
-    """The estimated or actual search effort exceeded the safety guard;
-    `reason` names the guard that tripped: "column_cap" (`max_columns`) or
+class OracleGuardError(CapExceeded):
+    """The oracle's `CapExceeded`: its estimated or actual search effort
+    exceeded a guard, which `reason` names: "column_cap" (`max_columns`) or
     "node_cap" (`max_nodes`)."""
-
-    def __init__(self, message: str, reason: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 @dataclass(frozen=True)

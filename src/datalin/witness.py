@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .calculus import CalculusError, express_via_simple
-from .core import Atom, DataVector, FreshAtoms, Instance, dv_combine
+from .calculus import express_via_simple
+from .core import Atom, DataVector, FreshAtoms, Instance, VerificationError, dv_combine
 from .zsolve import GeneratorLayers
 
 
@@ -94,7 +94,7 @@ def extract_witness_general(inst: Instance) -> Optional[Witness]:
         raw.extend(fam_terms)
     w = make_witness(raw)
     if not verify_witness(inst, w, "Z"):
-        raise CalculusError("general extraction produced a non-verifying witness")
+        raise VerificationError("general extraction produced a non-verifying witness")
     return w
 
 

@@ -17,7 +17,6 @@ from datalin.cli import (
     parse_witness,
 )
 from datalin import calculus, intlin
-from datalin.calculus import CalculusError
 from datalin.core import ShapeError, VerificationError
 from datalin.witness import (
     WitnessTerm,
@@ -296,7 +295,7 @@ def test_zsolve_json_checks_the_local_criterion_once(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("argv", [["witness"], ["zsolve", "--json"]])
 def test_internal_error_exit_code_4(tmp_path, capsys, monkeypatch, argv):
     def broken(inst):
-        raise CalculusError("decomposition left a nonzero residual")
+        raise VerificationError("decomposition left a nonzero residual")
 
     monkeypatch.setattr("datalin.cli.extract_witness_general", broken)
     path = write(tmp_path, "ex2.json", EX2)
@@ -333,15 +332,24 @@ def test_unbounded_simplex_exit_code_4(tmp_path, capsys, monkeypatch):
 
 
 def test_step_cap_reports_inconclusive(tmp_path, capsys, monkeypatch):
-    # EX2 needs a decomposition, which cannot finish in one step
-    monkeypatch.setattr(calculus, "_MAX_STEPS", 1)
+    # EX2 needs a decomposition, which cannot finish in one step or with
+    # one witness term; `main` reports either cap by its reason
     path = write(tmp_path, "ex2.json", EX2)
-    assert main(["witness", path]) == 3
-    assert capsys.readouterr().out.splitlines()[0] == "INCONCLUSIVE"
-    assert main(["zsolve", path, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out.splitlines()[1])
-    assert payload["solvable"] is True
-    assert payload["witness"] is None
+    for cap, reason in (("_MAX_STEPS", "step_cap"), ("_MAX_TERMS", "term_cap")):
+        with monkeypatch.context() as patch:
+            patch.setattr(calculus, cap, 1)
+            assert main(["witness", path]) == 3
+            assert capsys.readouterr().out.splitlines() == ["INCONCLUSIVE"]
+            assert main(["witness", path, "--json"]) == 3
+            line, payload = capsys.readouterr().out.splitlines()
+            assert line == "INCONCLUSIVE"
+            assert json.loads(payload) == {
+                "command": "witness", "status": "cap", "reason": reason
+            }
+            assert main(["zsolve", path, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out.splitlines()[1])
+            assert payload["solvable"] is True
+            assert payload["witness"] is None
 
 
 def test_witness_absent(tmp_path, capsys):

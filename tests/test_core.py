@@ -96,6 +96,20 @@ def test_datavector_shape_errors():
         dv_combine(1, 1, [(1, v, {0: -1})])
 
 
+def test_datavector_refuses_two_keys_for_one_set():
+    # in any key order and with any values, a zero one included, a second
+    # key for a set is an error, not a value dropped or kept silently
+    spellings = [(2, 1), (1, 2), frozenset({1, 2})]
+    for keys in itertools.permutations(spellings, 2):
+        for values in [((1,), (5,)), ((0,), (5,)), ((5,), (0,))]:
+            with pytest.raises(ShapeError, match=r"two keys name the set \(1, 2\)"):
+                DataVector(2, 1, dict(zip(keys, values)))
+    with pytest.raises(ShapeError, match="two keys name the set"):
+        DataVector(2, 1, _ListKeyed([([2, 1], (1,)), ([1, 2], (5,))]))
+    with pytest.raises(ShapeError, match="two keys name the set"):
+        Hypergraph(frozenset({1, 2}), 2, 1, {(2, 1): (1,), (1, 2): (5,)})
+
+
 def test_arithmetic_basics():
     a = pair_generator()
     b = DataVector(1, 1, {(0,): (-1,), (2,): (4,)})

@@ -1,6 +1,7 @@
 """Static checks over the library source, using only the stdlib `ast`."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -579,6 +580,78 @@ def test_assert_lines_detects_statements_only():
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_assert_statements(module):
-    # Self-checks are explicit raises (`VerificationError`, `CalculusError`)
-    # so that they still run under `python -O`.
+    # Self-checks are explicit raises of `VerificationError` so that they
+    # still run under `python -O`.
     assert assert_lines((SRC / module).read_text(encoding="utf-8")) == []
+
+
+_BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+# The library's exception classes, one per class of failure; every other
+# exception class derives from one of them, except the CLI's `FormatError`.
+_EXCEPTION_ROOTS = {"core.ShapeError", "core.VerificationError", "core.CapExceeded"}
+
+
+def stray_exceptions(sources: dict[str, str]) -> list[str]:
+    """Module-level exception classes ("module.Class") of the sources (by
+    file name) that derive from none of `_EXCEPTION_ROOTS`, other than
+    those and `cli.FormatError`.  A class is an exception when an ancestor
+    is a builtin exception; bases are resolved by name among the classes of
+    the sources, so an imported base counts as its defining module's."""
+    bases: dict[str, list[str]] = {}
+    defined: dict[str, str] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                path = f"{module.removesuffix('.py')}.{node.name}"
+                defined[node.name] = path
+                bases[path] = [getattr(b, "id", None) or getattr(b, "attr", None)
+                               for b in node.bases]
+
+    def ancestors(path: str) -> set[str]:
+        found: set[str] = set()
+        for base in bases[path]:
+            if base in defined:
+                found |= {defined[base]} | ancestors(defined[base])
+            else:
+                found.add(base)
+        return found
+
+    lineage = {path: ancestors(path) for path in bases}
+    return sorted(
+        path for path, found in lineage.items()
+        if found & _BUILTIN_EXCEPTIONS and not found & _EXCEPTION_ROOTS
+        and path not in _EXCEPTION_ROOTS | {"cli.FormatError"}
+    )
+
+
+def test_stray_exceptions_detects_and_ignores():
+    sources = {
+        "core.py": (
+            "class ShapeError(ValueError):\n    pass\n"
+            "class VerificationError(Exception):\n    pass\n"
+            "class CapExceeded(Exception):\n    pass\n"
+        ),
+        "cli.py": "class FormatError(ValueError):\n    pass\n",
+        "a.py": (
+            "from .core import CapExceeded, core\n"
+            "class Guard(CapExceeded):\n    pass\n"
+            "class Deeper(Guard):\n    pass\n"
+            "class Dotted(core.VerificationError):\n    pass\n"
+            "class Loose(Exception):\n    pass\n"
+            "class Child(Loose):\n    pass\n"
+            "class Bug(RuntimeError):\n    pass\n"
+            "class Record:\n    pass\n"
+        ),
+    }
+    assert stray_exceptions(sources) == ["a.Bug", "a.Child", "a.Loose"]
+
+
+def test_every_exception_has_its_exit_code_class():
+    # `cli.main` maps each class once: `FormatError` exits 2, `CapExceeded`
+    # 3 (INCONCLUSIVE), anything else 4.  A cap or a self-check raised as a
+    # class of its own would escape that mapping, or blur it.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert stray_exceptions(sources) == []

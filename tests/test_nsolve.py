@@ -315,6 +315,20 @@ def test_n_solvable_runs_each_public_stage_once(monkeypatch):
     assert all(calls[0][0] is inst for calls in stages)
 
 
+def test_n_solvable_projects_each_generator_once(monkeypatch):
+    # generator 0 is nonreversible and 1, 2 are a reversible pair: the
+    # partition's projections serve the bound and the walk
+    projected = spy(monkeypatch, nsolve, "data_projection")
+    gens = tuple(
+        DataVector(1, 2, {(0,): p}) for p in ((1, 0), (0, 1), (0, -1))
+    )
+    target = DataVector(1, 2, {(0,): (1, 0), (1,): (0, 1)})
+    dec = n_solvable(Instance(1, 2, gens, target))
+    assert dec.status == "SOLVABLE"
+    assert [gi for gi, _ in dec.guess] == [0]  # the walk placed generator 0
+    assert [sum(a is g for (a,) in projected) for g in gens] == [1, 1, 1]
+
+
 # (status, reason, coeff_bound) of each instance of the seed-7 stream of
 # acceptance criterion 6, at its caps: S SOLVABLE, U UNSOLVABLE, and
 # INCONCLUSIVE with reason C coeff_cap or G guess_cap, then the bound.

@@ -7,7 +7,16 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datalin.core import DataVector, FreshAtoms, Instance, dv_permute, dv_scale, kset
+from datalin.core import (
+    CapExceeded,
+    DataVector,
+    FreshAtoms,
+    Instance,
+    VerificationError,
+    dv_permute,
+    dv_scale,
+    kset,
+)
 from datalin.oracle import (
     OracleConfig,
     OracleGuardError,
@@ -73,6 +82,13 @@ def test_oracle_column_guard():
             OracleConfig(coeff_bound=1, fresh_atoms=3, max_columns=2),
         )
     assert trip.value.reason == "column_cap"
+
+
+def test_a_guard_trip_is_a_cap_not_a_bug():
+    # `cli.main` reports every `CapExceeded` as INCONCLUSIVE (exit 3) and
+    # any other exception, `VerificationError` included, as a bug (exit 4)
+    assert issubclass(OracleGuardError, CapExceeded)
+    assert not issubclass(CapExceeded, VerificationError)
 
 
 @pytest.mark.parametrize(
