@@ -28,9 +28,11 @@ reads, one at a time.
 
 Every sum of renamed, scaled copies is one `dv_combine` call, which adds
 each term's renamed values into one dict and canonicalises once (entries *
-terms additions, each one tuple built in place).  The pairwise operations
-are such calls: `dv_add` and `dv_sub` sum the terms (1, a) and (+-1, b),
-`dv_scale` is the term (c, a) and `dv_permute` the term (1, a, pi).
+terms additions, each one tuple built in place; a sum that cancels deletes
+its key there, so the constructor receives no zero value from it).  The
+pairwise operations are such calls: `dv_add` and `dv_sub` sum the terms
+(1, a) and (+-1, b), `dv_scale` is the term (c, a) and `dv_permute` the
+term (1, a, pi).
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ def dv_combine(
     Each term must have the given arity and dimension, and its renaming
     must be injective on a's support (ShapeError otherwise, also at c = 0;
     each distinct vector's support is computed once per call); the renamed,
-    scaled values are added into one dict, which is canonicalised once."""
+    scaled values are added into one dict, where a sum that cancels deletes
+    its key, and the dict is canonicalised once."""
     acc: dict[KSet, IntVector] = {}
     get = acc.get
     # each term's vector's support, by id; the vector is held with it, so
@@ -204,6 +207,9 @@ def dv_combine(
             cur = get(key)
             if cur is not None:
                 val = tuple([p + q for p, q in zip(cur, val)])
+                if not any(val):  # a sum that cancels leaves no entry
+                    del acc[key]
+                    continue
             acc[key] = val
     return DataVector(arity, dim, acc)
 

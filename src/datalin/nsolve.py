@@ -23,6 +23,17 @@ empty one, whose residual is the target over all generators: the Z refusal
 was its check, so the answer is SOLVABLE with guess `()` (it still counts
 as one guess against `guess_cap`, after the `coeff_cap` test) and no
 residual is checked.
+
+The placement walk keeps one residual, the target minus the copies placed
+so far, as a plain dict updated in place: placing a copy subtracts its
+renamed entries, lifting it adds them back, and a key whose value cancels
+is deleted, so no frame keeps a copy and a full guess's residual is zero
+exactly when the dict is empty.  A zero residual passes over any family;
+a nonzero one fails at once when there is no reversible generator (every
+layer's lattice is then {0}), and only otherwise is it walked
+(`GeneratorLayers.admits`).  Each placement's renaming is injective by
+construction and is checked again (`VerificationError` if not), so the
+sorted images of a key are a canonical key.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from .core import (
     Instance,
     IntVector,
     VerificationError,
-    dv_combine,
     weight_table,
     zero_vec,
 )
@@ -170,6 +180,12 @@ def n_solvable(
     enumeration within the caps is a certificate of UNSOLVABLE; truncation
     reports INCONCLUSIVE with the cap that tripped as its `reason`.
 
+    The residual is one dict that each placement updates in place and
+    each backtrack restores.  A guess passes at once when it is empty,
+    fails at once when it is not and no generator is reversible, and is
+    otherwise checked as a `DataVector` over the reversible layers; a
+    renaming that is not injective raises `VerificationError`.
+
     Totals stop at min(coeff_bound, z.t // m), z the split's `functional`
     and m its least nonreversible z.p_i: a composition c that passes the
     projection test leaves t - sum c_i p_i in the reversible span, where z
@@ -225,27 +241,41 @@ def n_solvable(
                     }
                     yield (gi, ren), known_fresh + r
 
+    residual = dict(inst.target.entries)  # the target minus the placed copies
+    values = [list(g.entries.values()) for g in gens]
+    negated = [[tuple([-x for x in v]) for v in vals] for vals in values]
+
     def placements(copies):
         """Every canonical placement of the copies, depth first on an
         explicit stack (one frame per placed copy, so any number of copies
-        fits); yields each full guess as a list of (generator index,
-        renaming)."""
+        fits), each copy subtracted from `residual` when placed and added
+        back when lifted; yields each full guess as its live list of
+        (generator index, renaming), with `residual` left by it."""
         if not copies:
             yield []
             return
         terms: list = []
+        placed: list = []  # the renamed keys of each placed copy
         frames = [options(copies[0], 0)]
         while frames:
+            if len(terms) == len(frames):  # lift the top frame's last copy
+                _add_into(residual, placed.pop(), values[terms.pop()[0]])
             step = next(frames[-1], None)
             if step is None:
                 frames.pop()
                 continue
-            del terms[len(frames) - 1:]
-            terms.append(step[0])
+            (gi, ren), known_fresh = step
+            if len(set(ren.values())) != len(ren):
+                raise VerificationError(f"placement {ren} is not injective")
+            # distinct nonnegative images: the sorted ones are canonical keys
+            keys = [tuple(sorted([ren[a] for a in key])) for key in gens[gi].entries]
+            _add_into(residual, keys, negated[gi])
+            terms.append((gi, ren))
+            placed.append(keys)
             if len(terms) == len(copies):
-                yield list(terms)
+                yield terms
             else:
-                frames.append(options(copies[len(terms)], step[1]))
+                frames.append(options(copies[len(terms)], known_fresh))
 
     def guesses():
         for total in range(0, total_cap + 1):
@@ -262,15 +292,26 @@ def n_solvable(
     for tried, terms in enumerate(guesses(), start=1):
         if tried > guess_cap:
             return NDecision("INCONCLUSIVE", bounds, reason="guess_cap")
-        residual = dv_combine(
-            inst.arity,
-            inst.dim,
-            [(1, inst.target, {}), *((-1, gens[gi], ren) for gi, ren in terms)],
-        )
-        if rev.admits(residual):
+        if not residual or (
+            part.reversible
+            and rev.admits(DataVector(inst.arity, inst.dim, residual))
+        ):
             guess = tuple((gi, tuple(sorted(ren.items()))) for gi, ren in terms)
             return NDecision("SOLVABLE", bounds, guess)
     return NDecision("UNSOLVABLE", bounds)
+
+
+def _add_into(acc: dict, keys, values) -> None:
+    """Add each value into `acc` at its key, deleting a key whose sum is
+    zero."""
+    for key, val in zip(keys, values):
+        cur = acc.get(key)
+        if cur is not None:
+            val = tuple([p + q for p, q in zip(cur, val)])
+            if not any(val):
+                del acc[key]
+                continue
+        acc[key] = val
 
 
 def _compositions(total: int, parts: int):

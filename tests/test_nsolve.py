@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from datalin.core import (
     DataVector,
     Instance,
+    VerificationError,
     dv_add,
     dv_combine,
     dv_permute,
@@ -204,13 +207,58 @@ def test_n_solvable_factors_each_reversible_layer_at_most_once(monkeypatch):
     local_check(inst)
     pre = len(factored)  # the Z pre-check's own factorisations
     factored.clear()
-    residuals = spy(monkeypatch, nsolve, "dv_combine")
+    owners = []
+
+    def owner(*args):
+        owners.append(GeneratorLayers(*args))
+        return owners[-1]
+
+    monkeypatch.setattr(nsolve, "GeneratorLayers", owner)
+    checks = spy(monkeypatch, GeneratorLayers, "admits")
     dec = n_solvable(inst)
     assert dec.status == "SOLVABLE"
     assert dec.guess == ((0, ((0, 1), (1, 2))),)
-    assert len(residuals) == 4
+    # the 4 guesses leave nonzero residuals, each checked by the reversible
+    # owner (`z_solvable` builds the Z refusal's owner)
+    (rev,) = owners
+    residuals = [target for owner_, target in checks if owner_ is rev]
+    assert len(residuals) == 4 and not any(r.is_zero() for r in residuals)
     # layers 0 and 1 of the reversible generators, once each
     assert len(factored) == pre + inst.arity + 1
+
+
+@pytest.mark.parametrize(
+    "target, status",
+    [
+        # the 4th guess (two copies) is the first accepted
+        (DataVector(1, 1, {(0,): (1,), (1,): (2,), (2,): (1,)}), "SOLVABLE"),
+        # all 3 placements of one copy leave a nonzero residual
+        (point_target(2), "UNSOLVABLE"),
+    ],
+)
+def test_no_reversible_generator_takes_only_the_z_walk(monkeypatch, target, status):
+    # with no reversible generator a residual passes exactly when it is
+    # zero, so no guess walks the (empty) family's layers
+    walks = spy(monkeypatch, GeneratorLayers, "failing_subsets")
+    inst = Instance(1, 1, (pair_generator(),), target)
+    assert reversible_partition(inst).reversible == ()
+    assert n_solvable(inst).status == status
+    assert [w[1] for w in walks] == [target]  # the Z refusal's walk
+
+
+def test_placement_with_a_non_injective_renaming_raises(monkeypatch):
+    # a renaming that sends two atoms to one would merge entries; the walk
+    # refuses it instead of checking the residual it leaves
+    def merged(pool, r):
+        yield (pool[0],) * r
+
+    tools = types.SimpleNamespace(
+        combinations=itertools.combinations, permutations=merged
+    )
+    monkeypatch.setattr(nsolve, "itertools", tools)
+    inst = Instance(1, 1, (pair_generator(),), point_target(2))
+    with pytest.raises(VerificationError, match="not injective"):
+        n_solvable(inst)
 
 
 _ALL_REVERSIBLE = Instance(
@@ -380,6 +428,61 @@ def test_criterion_6_stream_answers_are_pinned():
         )
         answers.append(f"{codes[dec.status, dec.reason]}{dec.bounds.coeff_bound}")
     assert answers == _CRITERION_6_ANSWERS
+
+
+def _ndecide_like_stream(seed, count=300):
+    """Instances shaped like perfbench's ndecide, drawn here: arity 1 or 2
+    alternately, dimension 1-2, nonnegative generators on atoms 0..k
+    (values 0..2, never empty) and a target summing 3 - k renamed copies
+    of them over 5 (arity 1) or 4 atoms.  Every fifth instance doubles
+    generators and target and adds one odd entry (Z-unsolvable), and
+    alternate blocks of five list a negated generator."""
+    rng = random.Random(seed)
+
+    def nonneg(k, d):
+        while True:
+            entries = {
+                key: tuple(rng.randint(0, 2) for _ in range(d))
+                for key in itertools.combinations(range(k + 1), k)
+                if rng.random() < 0.8
+            }
+            vec = DataVector(k, d, entries)
+            if not vec.is_zero():
+                return vec
+
+    for i in range(count):
+        k = 1 + i % 2
+        d = rng.randint(1, 2)
+        pool = list(range(5 if k == 1 else 4))
+        gens = [nonneg(k, d) for _ in range(rng.randint(1, 3 - k))]
+        target = DataVector(k, d, {})
+        while target.is_zero():
+            for _ in range(3 - k):
+                g = rng.choice(gens)
+                sup = sorted(g.support())
+                pi = dict(zip(sup, rng.sample(pool, len(sup))))
+                target = dv_add(target, dv_permute(g, pi))
+        if i % 5 == 4:
+            gens = [dv_scale(2, g) for g in gens]
+            odd = [2 * rng.randint(0, 2) for _ in range(d)]
+            odd[rng.randrange(d)] += 1
+            key = tuple(sorted(rng.sample(pool, k)))
+            target = dv_add(dv_scale(2, target), DataVector(k, d, {key: tuple(odd)}))
+        if (i // 5) % 2:
+            gens.append(dv_scale(-1, rng.choice(gens)))
+        yield Instance(k, d, tuple(gens), target)
+
+
+def test_seeded_stream_decisions_are_pinned():
+    # status, reason, bounds and guess of every decision, hashed, so a
+    # change to any decision of the stream shows
+    digest = hashlib.sha256()
+    for inst in _ndecide_like_stream(11):
+        dec = n_solvable(inst, coeff_cap=10**9, guess_cap=20_000)
+        digest.update(repr((dec.status, dec.reason, dec.bounds, dec.guess)).encode())
+    assert digest.hexdigest() == (
+        "59455e4461e07223582efb50e688c549c8e9ce489ce4ab613248c2ac6323c528"
+    )
 
 
 @st.composite
