@@ -33,6 +33,7 @@ from .core import (
     KSet,
     ShapeError,
     VerificationError,
+    add_into,
     dv_combine,
     encode_hypergraph,
     kset,
@@ -495,15 +496,13 @@ def _express_via_simple(
         raise ShapeError("working vertex set must cover the support")
     if len(verts) <= 2 * k - 1:
         raise ShapeError("working vertex set too small")
-    zero = zero_vec(d)
     entries = []
-    residual = h
+    residual = dict(h.entries)  # h minus the placed graphs
     for level in range(k + 1):
         # The residual's nonzero size-`level` weights, built alone and then
         # kept current by subtracting each placed graph's weights (weights
-        # are additive); the residual itself is rebuilt once per level.
-        weights = weight_table(residual, level)
-        residual_terms = [(1, residual, {})]
+        # are additive); `add_into` updates both dicts in place.
+        weights = weight_table(DataVector(k, d, residual), level)
         while True:
             ctx.tick()
             if not weights:
@@ -520,15 +519,9 @@ def _express_via_simple(
                 layers, weights[l_set], l_set, below, c_block, k, ctx
             )
             entries.append((s_hg, s_spec, s_terms))
-            residual_terms.append((-1, s_hg.as_data_vector(), {}))
-            for x, placed in weights_of_size(s_hg, level).items():
-                w = vec_add(weights.get(x, zero), vec_scale(-1, placed))
-                if any(w):
-                    weights[x] = w
-                else:
-                    del weights[x]
-        residual = dv_combine(k, d, residual_terms)
-    if residual.entries:
+            add_into(residual, -1, s_hg.mu, {})
+            add_into(weights, -1, weights_of_size(s_hg, level), {})
+    if residual:
         raise VerificationError("decomposition left a nonzero residual")
     return entries
 

@@ -26,13 +26,13 @@ after construction.  A bare data vector keeps none (it may live as long
 as its instance, a hypergraph for one call): a caller builds the sizes it
 reads, one at a time.
 
-Every sum of renamed, scaled copies is one `dv_combine` call, which adds
-each term's renamed values into one dict and canonicalises once (entries *
-terms additions, each one tuple built in place; a sum that cancels deletes
-its key there, so the constructor receives no zero value from it).  The
-pairwise operations are such calls: `dv_add` and `dv_sub` sum the terms
-(1, a) and (+-1, b), `dv_scale` is the term (c, a) and `dv_permute` the
-term (1, a, pi).
+Every sum of renamed, scaled copies goes through one kernel, `add_into`,
+which adds a copy's renamed values into a dict in place and deletes a key
+whose sum cancels, so the dict is empty exactly when the sum is zero: the
+N walk and the decomposition update their dicts with it, and `dv_combine`
+is one checked call per term and one canonicalisation.  The pairwise
+operations are `dv_combine` calls: `dv_add` and `dv_sub` sum the terms
+(1, a) and (+-1, b), `dv_scale` is (c, a) and `dv_permute` (1, a, pi).
 """
 
 from __future__ import annotations
@@ -180,11 +180,10 @@ def dv_combine(
 
     Each term must have the given arity and dimension, and its renaming
     must be injective on a's support (ShapeError otherwise, also at c = 0;
-    each distinct vector's support is computed once per call); the renamed,
-    scaled values are added into one dict, where a sum that cancels deletes
-    its key, and the dict is canonicalised once."""
+    each distinct vector's support is computed once per call); each term
+    with c != 0 is then one `add_into` call on one dict, which is
+    canonicalised once."""
     acc: dict[KSet, IntVector] = {}
-    get = acc.get
     # each term's vector's support, by id; the vector is held with it, so
     # no id is reused while the call runs
     supports: dict[int, tuple[DataVector, frozenset[Atom]]] = {}
@@ -196,22 +195,31 @@ def dv_combine(
             if held is None:
                 held = supports[id(a)] = (a, a.support())
             check_injective_on(pi, held[1])
-        if c == 0:
-            continue
-        rename = pi.get
-        for key, val in a.entries.items():
-            if pi:
-                key = tuple(sorted(map(rename, key, key)))
-            if c != 1:
-                val = tuple([c * v for v in val])
-            cur = get(key)
-            if cur is not None:
-                val = tuple([p + q for p, q in zip(cur, val)])
-                if not any(val):  # a sum that cancels leaves no entry
-                    del acc[key]
-                    continue
-            acc[key] = val
+        if c:
+            add_into(acc, c, a.entries, pi)
     return DataVector(arity, dim, acc)
+
+
+def add_into(acc: dict, c: int, entries: Mapping[KSet, IntVector], pi: Mapping) -> None:
+    """Add c * pi(entries) into `acc` in place, the value at X going to the
+    key tuple(sorted(pi(x) for x in X)), and delete a key whose sum cancels.
+    It checks nothing: the caller guarantees c != 0, nonzero values of
+    acc's dimension, and pi injective on the keys' atoms (so each renamed
+    key is canonical), and then acc never holds a zero value."""
+    get = acc.get
+    rename = pi.get
+    for key, val in entries.items():
+        if pi:
+            key = tuple(sorted(map(rename, key, key)))
+        if c != 1:
+            val = tuple([c * v for v in val])
+        cur = get(key)
+        if cur is not None:
+            val = tuple([p + q for p, q in zip(cur, val)])
+            if not any(val):  # a sum that cancels leaves no entry
+                del acc[key]
+                continue
+        acc[key] = val
 
 
 @dataclass(frozen=True)

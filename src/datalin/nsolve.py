@@ -25,15 +25,16 @@ as one guess against `guess_cap`, after the `coeff_cap` test) and no
 residual is checked.
 
 The placement walk keeps one residual, the target minus the copies placed
-so far, as a plain dict updated in place: placing a copy subtracts its
-renamed entries, lifting it adds them back, and a key whose value cancels
-is deleted, so no frame keeps a copy and a full guess's residual is zero
-exactly when the dict is empty.  A zero residual passes over any family;
-a nonzero one fails at once when there is no reversible generator (every
-layer's lattice is then {0}), and only otherwise is it walked
-(`GeneratorLayers.admits`).  Each placement's renaming is injective by
-construction and is checked again (`VerificationError` if not), so the
-sorted images of a key are a canonical key.
+so far, as a plain dict that `core.add_into` updates in place: placing a
+copy adds -1 times its renamed entries, lifting it adds them back, and the
+kernel deletes a key whose value cancels, so no frame keeps a copy and a
+full guess's residual is zero exactly when the dict is empty.  A zero
+residual passes over any family; a nonzero one fails at once when there
+is no reversible generator (every layer's lattice is then {0}), and only
+otherwise is it walked (`GeneratorLayers.admits`).  Each placement's
+renaming is injective by construction and is checked again
+(`VerificationError` if not), so the sorted images of a key are a
+canonical key.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     Instance,
     IntVector,
     VerificationError,
+    add_into,
     weight_table,
     zero_vec,
 )
@@ -181,10 +183,11 @@ def n_solvable(
     reports INCONCLUSIVE with the cap that tripped as its `reason`.
 
     The residual is one dict that each placement updates in place and
-    each backtrack restores.  A guess passes at once when it is empty,
-    fails at once when it is not and no generator is reversible, and is
-    otherwise checked as a `DataVector` over the reversible layers; a
-    renaming that is not injective raises `VerificationError`.
+    each backtrack restores, both through `core.add_into`.  A guess passes
+    at once when it is empty, fails at once when it is not and no generator
+    is reversible, and is otherwise checked as a `DataVector` over the
+    reversible layers; a renaming that is not injective raises
+    `VerificationError`, since the kernel checks nothing.
 
     Totals stop at min(coeff_bound, z.t // m), z the split's `functional`
     and m its least nonreversible z.p_i: a composition c that passes the
@@ -242,8 +245,6 @@ def n_solvable(
                     yield (gi, ren), known_fresh + r
 
     residual = dict(inst.target.entries)  # the target minus the placed copies
-    values = [list(g.entries.values()) for g in gens]
-    negated = [[tuple([-x for x in v]) for v in vals] for vals in values]
 
     def placements(copies):
         """Every canonical placement of the copies, depth first on an
@@ -255,11 +256,11 @@ def n_solvable(
             yield []
             return
         terms: list = []
-        placed: list = []  # the renamed keys of each placed copy
         frames = [options(copies[0], 0)]
         while frames:
             if len(terms) == len(frames):  # lift the top frame's last copy
-                _add_into(residual, placed.pop(), values[terms.pop()[0]])
+                gi, ren = terms.pop()
+                add_into(residual, 1, gens[gi].entries, ren)
             step = next(frames[-1], None)
             if step is None:
                 frames.pop()
@@ -267,11 +268,8 @@ def n_solvable(
             (gi, ren), known_fresh = step
             if len(set(ren.values())) != len(ren):
                 raise VerificationError(f"placement {ren} is not injective")
-            # distinct nonnegative images: the sorted ones are canonical keys
-            keys = [tuple(sorted([ren[a] for a in key])) for key in gens[gi].entries]
-            _add_into(residual, keys, negated[gi])
+            add_into(residual, -1, gens[gi].entries, ren)
             terms.append((gi, ren))
-            placed.append(keys)
             if len(terms) == len(copies):
                 yield terms
             else:
@@ -299,19 +297,6 @@ def n_solvable(
             guess = tuple((gi, tuple(sorted(ren.items()))) for gi, ren in terms)
             return NDecision("SOLVABLE", bounds, guess)
     return NDecision("UNSOLVABLE", bounds)
-
-
-def _add_into(acc: dict, keys, values) -> None:
-    """Add each value into `acc` at its key, deleting a key whose sum is
-    zero."""
-    for key, val in zip(keys, values):
-        cur = acc.get(key)
-        if cur is not None:
-            val = tuple([p + q for p, q in zip(cur, val)])
-            if not any(val):
-                del acc[key]
-                continue
-        acc[key] = val
 
 
 def _compositions(total: int, parts: int):

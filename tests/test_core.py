@@ -9,6 +9,7 @@ from datalin.core import (
     Hypergraph,
     Instance,
     ShapeError,
+    add_into,
     dv_add,
     dv_combine,
     dv_permute,
@@ -227,6 +228,17 @@ def test_combine_equals_the_dv_add_fold(case):
     k, d, terms = case
     assert dv_combine(k, d, terms) == fold_copies(k, d, terms)
     assert dv_combine(k, d, terms).entries == dict_combine(terms)
+    # the kernel on one dict: dv_combine's entries in its order, never a
+    # zero value on the way (so empty iff the sum is zero), inputs untouched
+    before = [dict(a.entries) for _, a, _ in terms]
+    acc = {}
+    for c, a, pi in terms:
+        if c:
+            add_into(acc, c, a.entries, pi)
+            assert all(map(any, acc.values()))
+    combined = dv_combine(k, d, terms).entries
+    assert list(acc.items()) == list(combined.items())
+    assert [a.entries for _, a, _ in terms] == before
     # every copy cancelled by its negation: the empty vector
     negated = [(-c, a, pi) for c, a, pi in terms]
     assert dv_combine(k, d, terms + negated).entries == {}

@@ -131,6 +131,39 @@ def test_only_zsolve_factors_layers(module):
     assert calls_of((SRC / module).read_text(encoding="utf-8"), "hnf") == 0
 
 
+def key_deletions(source: str) -> list[int]:
+    """Lines of `del x[key]` statements (a `Delete` with a subscript target)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Delete)
+        and any(isinstance(t, ast.Subscript) for t in node.targets)
+    )
+
+
+def test_key_deletions_detects_and_ignores():
+    src = (
+        "del acc[key]\n"
+        "del name\n"
+        "del obj.attr\n"
+        "acc.pop(key)\n"
+        "del a, b[0]\n"
+        "def f(d):\n"
+        "    del d[1:]\n"
+    )
+    assert key_deletions(src) == [1, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "core.py")
+)
+def test_only_core_deletes_a_key(module):
+    # `core.add_into` adds every renamed copy into a sparse map and drops a
+    # key whose sum cancels there, so "empty dict iff zero sum" is decided
+    # in one module.
+    assert key_deletions((SRC / module).read_text(encoding="utf-8")) == []
+
+
 def reads_of(source: str, attr: str) -> int:
     """Reads of the attribute `attr` (`x.attr`) anywhere in the module."""
     return sum(
