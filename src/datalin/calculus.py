@@ -7,7 +7,8 @@ with |A| = |B| = m, |C| = 2(k-m)-1 (C empty when m = k), carries weight
 (-1)^{|B /\\ X|} * a on every transversal m-set X (one vertex of each pair
 A[i], B[i]) and weight zero on every other set of size at most m.  These
 graphs are the building blocks for decomposing any hypergraph into pieces
-whose weights come from a prescribed generator family.
+whose weights come from a prescribed generator family: a decomposition
+step places one as renamed templates, each checked once, in closed form.
 
 Witness terms here are lists (coefficient, renaming) over one source data
 vector, or (coefficient, generator index, renaming) over a family.  Every
@@ -146,33 +147,27 @@ class SimpleSpec:
     B: tuple[Atom, ...]
     C: tuple[Atom, ...]
 
+    def transversal_weights(self) -> dict[KSet, IntVector]:
+        """The nonzero size-m weights of the graph so placed:
+        (-1)^{|B /\\ X|} * a on each transversal X of the pairs."""
+        b_set = set(self.B)
+        return {
+            kset(x): vec_scale(-1 if len(b_set.intersection(x)) % 2 else 1, self.a)
+            for x in itertools.product(*zip(self.A, self.B))
+        } if any(self.a) else {}
+
 
 def verify_simple(h: Hypergraph, spec: SimpleSpec) -> bool:
     """Check all defining properties: vertex partition and sizes, signed
     weights on transversal m-sets, zero weights on all other sets of size m,
     and (m-1)-isolation."""
-    m = spec.m
-    k = h.arity
-    a_set, b_set, c_set = set(spec.A), set(spec.B), set(spec.C)
-    if len(spec.A) != m or len(spec.B) != m:
+    m, k = spec.m, h.arity
+    blocks = {*spec.A, *spec.B, *spec.C}  # disjoint, no atom twice
+    if len(spec.A) != m or len(spec.B) != m or len(blocks) != 2 * m + len(spec.C):
         return False
-    if len(a_set) != m or len(b_set) != m or len(c_set) != len(spec.C):
+    if len(spec.C) != (0 if m == k else 2 * (k - m) - 1) or h.vertices != blocks:
         return False
-    if a_set & b_set or a_set & c_set or b_set & c_set:
-        return False
-    if m == k:
-        if spec.C:
-            return False
-    elif len(spec.C) != 2 * (k - m) - 1:
-        return False
-    if h.vertices != a_set | b_set | c_set:
-        return False
-    expected = {}
-    if any(spec.a):
-        for x in itertools.product(*zip(spec.A, spec.B)):
-            sign = -1 if len(b_set.intersection(x)) % 2 else 1
-            expected[kset(x)] = vec_scale(sign, spec.a)
-    if weights_of_size(h, m) != expected:
+    if weights_of_size(h, m) != spec.transversal_weights():
         return False
     return is_m_isolated(h, m - 1) if m >= 1 else True
 
@@ -336,10 +331,9 @@ def _construct_simple(g: Hypergraph, x: KSet, ctx: _Ctx):
         )
         co_support = set(fc.as_data_vector().support())
         correction: Terms = []
-        for s_hg, _spec, fam_terms in entries:
-            candidates = [
-                v for v in sup if v != alpha and v not in s_hg.vertices
-            ]
+        for spec, fam_terms in entries:
+            blocks = {*spec.A, *spec.B, *spec.C}
+            candidates = [v for v in sup if v != alpha and v not in blocks]
             if not candidates:
                 raise VerificationError("no spare vertex for the elimination step")
             correction += _lift(
@@ -399,46 +393,46 @@ FamilyTerms = list[tuple[int, int, dict[Atom, Atom]]]
 
 
 def _simple_with_value(
-    layers: GeneratorLayers,
-    a: IntVector,
-    A: tuple[Atom, ...],
-    B: tuple[Atom, ...],
-    C: tuple[Atom, ...],
-    arity: int,
-    ctx: _Ctx,
+    layers: GeneratorLayers, a: IntVector, A: tuple[Atom, ...],
+    B: tuple[Atom, ...], C: tuple[Atom, ...], residual: dict, ctx: _Ctx,
 ):
-    """(m,a)-simple k-hypergraph at the given placement, built as an
-    integer combination of canonical simple graphs of the family members
-    (the owner's size-m layer), together with family witness terms."""
-    family, dim = layers.hypergraphs, layers.dim
+    """Subtract an (m,a)-simple k-hypergraph on the blocks A, B, C (m = |A|)
+    from `residual` in place as renamed simple templates of the family
+    members, one per coefficient of the owner's size-m layer solve; return
+    (spec, family witness terms).  No graph is built, and none is needed:
+    - the template of (generator, xs) is (m,w)-simple and its vertices are
+      exactly its blocks A' u B' u C' (`verify_simple` checks it once, as it
+      enters `ctx.simple_cache`);
+    - tau (A' -> A, B' -> B, sorted C' -> C) maps block onto block and pair
+      onto pair, so the renamed template is (m,w)-simple on A, B, C;
+    - simplicity is linear for fixed blocks, and the solve gives
+      sum coeff * w = a, so the placed sum is (m,a)-simple."""
+    family = layers.hypergraphs
     m = len(A)
     sol = layers.solve(m, a)
     if sol is None:
         raise VerificationError(
             f"value {a} outside the integer span of size-{m} family weights"
         )
-    placed = []
     fam_terms: FamilyTerms = []
     for (gi, xs), coeff in zip(layers.layer(m).reps.values(), sol):
         if not coeff:
             continue
         key = (family[gi], xs)
         if key not in ctx.simple_cache:
-            ctx.simple_cache[key] = _construct_simple(family[gi], xs, ctx)
+            s_hg, s_spec, s_terms = _construct_simple(family[gi], xs, ctx)
+            if not verify_simple(s_hg, s_spec):
+                raise VerificationError("simple template failed its simplicity check")
+            ctx.simple_cache[key] = s_hg, s_spec, s_terms
         s_hg, s_spec, s_terms = ctx.simple_cache[key]
         tau = dict(zip(s_spec.A, A))
         tau.update(zip(s_spec.B, B))
         tau.update(zip(sorted(s_spec.C), sorted(C)))
-        placed.append((coeff, s_hg.as_data_vector(), tau))
+        add_into(residual, -coeff, s_hg.mu, tau)
         for c, ren in s_terms:
             fam_terms.append((coeff * c, gi, _compose(tau, ren)))
     ctx.check_terms(fam_terms)
-    total = dv_combine(arity, dim, placed)
-    hg = Hypergraph(set(A) | set(B) | set(C), arity, dim, total)
-    spec = SimpleSpec(m, a, A, B, C)
-    if not verify_simple(hg, spec):
-        raise VerificationError("family combination failed simplicity check")
-    return hg, spec, fam_terms
+    return SimpleSpec(m, a, A, B, C), fam_terms
 
 
 def _greedy_below(l_set: KSet, pool) -> Optional[tuple[Atom, ...]]:
@@ -488,20 +482,21 @@ def _express_via_simple(
     one (0, w_empty)-simple graph.  Each step picks L in one walk of the
     level's weights in descending colex order (`_pick`): a set some maximal
     set walked before it dominates is skipped, and the first maximal set
-    `_greedy_below` serves is taken.  Returns [(hypergraph, spec, family
-    terms)] summing to h exactly."""
+    `_greedy_below` serves is taken.  The step subtracts the placed
+    (level, a)-simple graph from the residual (`_simple_with_value`) and its
+    weights, +-a on the 2^level transversals of (L, below), from the level's.
+    Returns [(spec, family terms)], the terms summing to h exactly."""
     k, d = h.arity, h.dim
     verts = sorted(set(vertices))
     if not set(h.support()) <= set(verts):
         raise ShapeError("working vertex set must cover the support")
     if len(verts) <= 2 * k - 1:
         raise ShapeError("working vertex set too small")
-    entries = []
+    pieces = []
     residual = dict(h.entries)  # h minus the placed graphs
     for level in range(k + 1):
-        # The residual's nonzero size-`level` weights, built alone and then
-        # kept current by subtracting each placed graph's weights (weights
-        # are additive); `add_into` updates both dicts in place.
+        # the residual's nonzero size-`level` weights, built once and kept
+        # current by `add_into` (weights are additive)
         weights = weight_table(DataVector(k, d, residual), level)
         while True:
             ctx.tick()
@@ -515,23 +510,24 @@ def _express_via_simple(
             c_block = tuple(c_pool[: max(0, 2 * (k - level) - 1)])
             if len(c_block) < max(0, 2 * (k - level) - 1):
                 raise VerificationError("not enough vertices for the free block")
-            s_hg, s_spec, s_terms = _simple_with_value(
-                layers, weights[l_set], l_set, below, c_block, k, ctx
+            spec, fam_terms = _simple_with_value(
+                layers, weights[l_set], l_set, below, c_block, residual, ctx
             )
-            entries.append((s_hg, s_spec, s_terms))
-            add_into(residual, -1, s_hg.mu, {})
-            add_into(weights, -1, weights_of_size(s_hg, level), {})
+            pieces.append((spec, fam_terms))
+            add_into(weights, -1, spec.transversal_weights(), {})
     if residual:
         raise VerificationError("decomposition left a nonzero residual")
-    return entries
+    return pieces
 
 
 def express_via_simple(layers: GeneratorLayers, h: DataVector, vertices):
     """Decompose h over the family of `layers` (see `_express_via_simple`)
     in a construction context of its own; a layer the owner factored before
-    is not factored again.  Raises `core.CapExceeded` past `_MAX_STEPS`
-    steps ("step_cap") or `_MAX_TERMS` terms ("term_cap"), and
-    `VerificationError` where a step fails its own check."""
+    is not factored again.  Returns [(spec, family terms)], each piece's
+    terms summing to the (m,a)-simple graph on its spec's blocks; no graph
+    is built.  Raises `core.CapExceeded` past `_MAX_STEPS` steps
+    ("step_cap") or `_MAX_TERMS` terms ("term_cap"), and `VerificationError`
+    where a template or the final residual fails its check."""
     used = set(vertices)
     for g in layers.hypergraphs:
         used |= g.vertices

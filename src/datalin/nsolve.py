@@ -68,6 +68,7 @@ class ReversibilityPartition:
     nonreversible: tuple[int, ...]
     functional: IntVector  # z: z.p_r = 0 for reversible r, z.p_i > 0 otherwise
     projections: tuple[IntVector, ...]  # p_i, each generator's `data_projection`
+    target_projection: IntVector  # t, the target's `data_projection`
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,8 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
     `functional` is the sum z of those z_i, scaled to integers: z.p_j > 0
     for each nonreversible j (a z_i decided it and none is negative), and
     z.p_r = 0 for each reversible r (z >= 0 on p_r and -p_r, both in the
-    cone).  Both are checked.  The projections are kept for the later stages."""
+    cone).  Both are checked.  The projections, the target's too, are kept
+    for the later stages, so `n_solvable` projects each vector once."""
     projections = [data_projection(g) for g in inst.generators]
     reversible: dict[int, bool] = {}
     functional = (0,) * inst.dim
@@ -137,6 +139,7 @@ def reversible_partition(inst: Instance) -> ReversibilityPartition:
         tuple(i for i in order if not reversible[i]),
         functional,
         tuple(projections),
+        data_projection(inst.target),
     )
 
 
@@ -157,7 +160,7 @@ def nonreversible_bound(
     distinct_nonrev = {part.projections[i] for i in part.nonreversible}
     coeff_bound = len(distinct_nonrev) * pottier_base_bound(
         IntMatrix.from_columns(part.projections, nrows=inst.dim),
-        data_projection(inst.target),
+        part.target_projection,
     )
     s_max = max(
         len(inst.generators[i].support()) for i in part.nonreversible
@@ -215,10 +218,9 @@ def n_solvable(
     # projections (the weight of the empty set is a vector's projection),
     # which span the same lattice as all of them.
     rev = GeneratorLayers([gens[i] for i in part.reversible], inst.dim)
-    target_proj = data_projection(inst.target)
     nonrev = list(part.nonreversible)
     nonrev_proj = [part.projections[i] for i in nonrev]
-    level = _dot(part.functional, target_proj)
+    level = _dot(part.functional, part.target_projection)
     least = min(_dot(part.functional, p) for p in nonrev_proj)
     total_cap = min(bounds.coeff_bound, level // least)
     supp = sorted(inst.target.support())
@@ -279,7 +281,7 @@ def n_solvable(
         for total in range(0, total_cap + 1):
             for counts in _compositions(total, len(nonrev)):
                 # projection necessary condition for the residual
-                needed = target_proj
+                needed = part.target_projection
                 for c, p in zip(counts, nonrev_proj):
                     needed = tuple([x - c * y for x, y in zip(needed, p)])
                 if rev.solve(0, needed) is None:

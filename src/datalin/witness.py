@@ -88,11 +88,8 @@ def extract_witness_general(inst: Instance) -> Optional[Witness]:
     verts = sorted(inst.target.support())
     while len(verts) < 2 * k:
         verts.append(fresh.take())
-    entries = express_via_simple(layers, inst.target, verts)
-    raw: list[tuple[int, int, Mapping[Atom, Atom]]] = []
-    for _hg, _spec, fam_terms in entries:
-        raw.extend(fam_terms)
-    w = make_witness(raw)
+    pieces = express_via_simple(layers, inst.target, verts)
+    w = make_witness(term for _spec, terms in pieces for term in terms)
     if not verify_witness(inst, w, "Z"):
         raise VerificationError("general extraction produced a non-verifying witness")
     return w

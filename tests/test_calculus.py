@@ -22,7 +22,7 @@ from datalin.core import (
     Hypergraph,
     ShapeError,
     dv_add,
-    dv_permute,
+    dv_combine,
     dv_scale,
     encode_hypergraph,
     weight,
@@ -250,13 +250,11 @@ def test_express_via_simple_reconstructs_target():
     layers = zsolve.GeneratorLayers([gen], 1)
     pieces = express_via_simple(layers, target, tuple(range(6)))
     total = DataVector(2, 1, {})
-    simple_sum = DataVector(2, 1, {})
-    for hg, spec, fam_terms in pieces:
-        assert verify_simple(hg, spec)
-        simple_sum = dv_add(simple_sum, hg.as_data_vector())
-        for c, gi, ren in fam_terms:
-            total = dv_add(total, dv_scale(c, dv_permute(gen, ren)))
-    assert simple_sum == target
+    for spec, fam_terms in pieces:
+        # each piece is the sum of its own terms, and it is simple
+        piece = dv_combine(2, 1, ((c, gen, ren) for c, _gi, ren in fam_terms))
+        assert verify_simple(encode_hypergraph(piece), spec)
+        total = dv_add(total, piece)
     assert total == target
 
 

@@ -20,6 +20,8 @@ from datalin.core import (
 )
 from datalin import nsolve, zsolve
 from datalin.intlin import HermiteForm, cone_member
+from datalin.oracle import OracleConfig, OracleGuardError, brute_force
+from datalin.witness import verify_witness
 from datalin.zsolve import GeneratorLayers, local_check
 from datalin.nsolve import (
     NBoundData,
@@ -428,6 +430,65 @@ def test_criterion_6_stream_answers_are_pinned():
         )
         answers.append(f"{codes[dec.status, dec.reason]}{dec.bounds.coeff_bound}")
     assert answers == _CRITERION_6_ANSWERS
+
+
+def _criterion_6_instances():
+    """The instances of tests/test_acceptance.py's criterion 6, drawn in the
+    same order from the same seed."""
+    rng = random.Random(7)
+    pool = list(range(4))
+
+    def rand_nonneg(k, atoms):
+        entries = {}
+        for e in itertools.combinations(sorted(atoms), k):
+            v = (rng.randint(0, 2),)
+            if any(v):
+                entries[e] = v
+        return DataVector(k, 1, entries)
+
+    for _ in range(100):
+        k = rng.randint(1, 2)
+        gens = []
+        while len(gens) < rng.randint(1, 2):
+            g = rand_nonneg(k, rng.sample(pool, rng.randint(k, min(4, k + 2))))
+            if not g.is_zero():
+                gens.append(g)
+        target = rand_nonneg(k, rng.sample(pool, rng.randint(k, min(4, k + 2))))
+        yield Instance(k, 1, tuple(gens), target)
+
+
+def test_a_complete_oracle_agrees_on_the_criterion_6_stream():
+    # With no reversible generator, the split's functional z is positive on
+    # every projection p_i, and an N-solution's projections sum to the
+    # target's t, so it has at most B = z.t // min z.p_i copies, which use
+    # at most s_max * B atoms off the target.  The oracle bounded by these
+    # is complete within its guards, so both of its answers are checked.
+    def dot(z, p):
+        return sum(a * b for a, b in zip(z, p))
+
+    settled = 0
+    for inst in _criterion_6_instances():
+        part = reversible_partition(inst)
+        if part.reversible:
+            continue
+        z = part.functional
+        b = max(dot(z, data_projection(inst.target)), 0) // min(
+            dot(z, p) for p in part.projections
+        )
+        s_max = max(len(g.support()) for g in inst.generators)
+        cfg = OracleConfig(max(b, 1), max(s_max * b, 1), "N", max_nodes=20_000)
+        try:
+            w = brute_force(inst, cfg)
+        except OracleGuardError:
+            continue
+        dec = n_solvable(inst, coeff_cap=300, guess_cap=20_000)
+        if w is not None:
+            assert verify_witness(inst, w, mode="N")
+            assert dec.status != "UNSOLVABLE"
+        else:
+            assert dec.status != "SOLVABLE"
+        settled += 1
+    assert settled >= 79
 
 
 def _ndecide_like_stream(seed, count=300):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +41,8 @@ from conftest import (
     spy,
     triangle,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def term(coeff, gi, ren):
@@ -200,6 +206,60 @@ def test_triangle_target_witness_sizes(monkeypatch, atoms, count, edges, steps, 
     w = extract_witness_general(inst)
     assert w is not None and verify_witness(inst, w)
     assert (len(placed), len(w.terms)) == (steps, terms)
+
+
+def test_each_simple_template_is_verified_once(monkeypatch):
+    # A step places renamed templates in closed form: `verify_simple` runs
+    # once per template, as it enters the context's cache, not once per step.
+    contexts = []
+
+    class Recorded(calculus._Ctx):
+        def __init__(self, used):
+            super().__init__(used)
+            contexts.append(self)
+
+    monkeypatch.setattr(calculus, "_Ctx", Recorded)
+    checked = spy(monkeypatch, calculus, "verify_simple")
+    placed = spy(monkeypatch, calculus, "_simple_with_value")
+    inst = Instance(2, 1, (triangle(0, 1, 2),), _triangle_target(30, 50))
+    w = extract_witness_general(inst)
+    assert w is not None and verify_witness(inst, w)
+    [ctx] = contexts
+    templates = {id(hg): spec for hg, spec, _terms in ctx.simple_cache.values()}
+    assert sorted(id(hg) for hg, _spec in checked) == sorted(templates)
+    assert all(templates[id(hg)] is spec for hg, spec in checked)
+    assert len(checked) == len(ctx.simple_cache) < len(placed) == 157
+
+
+# Runs under `python -O`, which strips asserts: a template that comes back
+# with a vertex outside its blocks is not simple, and its one check raises
+# (its entries are unchanged, so the witness itself would still verify).
+_BROKEN_TEMPLATE = """
+import sys
+from datalin import calculus
+from datalin.core import DataVector, Hypergraph, Instance, VerificationError
+from datalin.witness import extract_witness_general
+construct = calculus._construct_simple
+def broken(g, x, ctx):
+    hg, spec, terms = construct(g, x, ctx)
+    return Hypergraph(hg.vertices | {10**6}, hg.arity, hg.dim, hg.mu), spec, terms
+calculus._construct_simple = broken
+assert False, "asserts are live"
+gen = DataVector(2, 1, {(0, 1): (1,), (0, 2): (1,), (1, 2): (1,)})
+try:
+    extract_witness_general(Instance(2, 1, (gen,), DataVector(2, 1, {(0, 1): (6,)})))
+except VerificationError as exc:
+    print(sys.flags.optimize, type(exc).__name__, exc)
+"""
+
+
+def test_a_non_simple_template_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_TEMPLATE],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "1 VerificationError simple template failed its simplicity check\n"
 
 
 def _planted_z_stream(seed, count=120):
